@@ -25,13 +25,13 @@ from .contact import (
 )
 from .errors import DiscrepancyFound, LiePosetError, SizeBound
 from .liealg import (
-    build_raw,
     build_type_a,
     center,
     extended_matrix,
     index,
     index_certified,
     index_formula_h2,
+    raw_from_json,
     SYMBOLIC_INDEX_BOUND,
 )
 from .posets import is_forest, poset_from_json, poset_to_dot, poset_to_json
@@ -43,11 +43,15 @@ EXIT_DISCREPANCY = 3
 EXIT_SIZE = 4
 
 
-def _read_json(path: str):
+def _read_json(path: str) -> dict:
     if path == "-":
-        return json.load(sys.stdin)
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        data = json.load(sys.stdin)
+    else:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    if not isinstance(data, dict):
+        raise LiePosetError("input must be a JSON object")
+    return data
 
 
 def _emit(data, fmt: str) -> None:
@@ -157,10 +161,7 @@ def cmd_index(args) -> int:
             _emit({**report, "randomized": 0}, args.format)
             return EXIT_OK
     elif "brackets" in data:
-        alg = build_raw(
-            int(data["dim"]),
-            [(int(i), int(j), coords) for i, j, coords in data["brackets"]],
-        )
+        alg = raw_from_json(data)
     else:
         raise LiePosetError("input must be a poset or structure-constant JSON object")
     est = index(alg, trials=args.trials, seed=args.seed)

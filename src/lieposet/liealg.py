@@ -11,17 +11,19 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Union
 
 from .errors import (
     EvenDimension,
     HeightBound,
     JacobiViolation,
+    OutOfRange,
     SizeBound,
     TooSmall,
 )
-from .linalg import Poly, RationalMatrix, symbolic_rank
-from .posets import Poset, extremal_data, interior_shape, is_forest, up_down
+from .linalg import Poly, RationalMatrix, rank_mod_p, symbolic_rank
+from .posets import Poset, extremal_data, interior_shape, is_forest, json_int, up_down
 
 SYMBOLIC_INDEX_BOUND = 8
 JACOBI_CHECK_BOUND = 30
@@ -201,6 +203,8 @@ def build_raw(dim: int, brackets) -> LieAlgebra:
                 raise JacobiViolation((i, i, i), f"[e{i}, e{i}] must vanish")
             continue
         vec = {int(t) - 1: Fraction(c) for t, c in coords.items() if Fraction(c)}
+        if any(not 0 <= t < dim for t in vec):
+            raise ValueError(f"bracket [e{i}, e{j}] has a target outside 1..{dim}")
         key, flip = ((i - 1, j - 1), False) if i < j else ((j - 1, i - 1), True)
         if flip:
             vec = {t: -c for t, c in vec.items()}
@@ -215,6 +219,25 @@ def build_raw(dim: int, brackets) -> LieAlgebra:
         if witness:
             raise JacobiViolation(witness)
     return alg
+
+
+def raw_from_json(data: dict) -> LieAlgebra:
+    """build_raw from {"dim": d, "brackets": [[i, j, {"t": c, ...}], ...]},
+    with integer indices and integer or string coefficients; malformed
+    input raises OutOfRange."""
+    try:
+        dim = json_int(data["dim"])
+        entries = []
+        for i, j, coords in data["brackets"]:
+            vec = {}
+            for t, c in coords.items():
+                if type(c) not in (int, str):
+                    raise TypeError(f"coefficient {c!r} is not an integer or a string")
+                vec[int(t)] = Fraction(c)
+            entries.append((json_int(i), json_int(j), vec))
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise OutOfRange(f"malformed algebra JSON: {exc}") from exc
+    return build_raw(dim, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -293,15 +316,23 @@ def random_functional(alg: LieAlgebra, rng: random.Random, bound: int) -> Functi
 # Kirillov machinery
 
 
-def kirillov_matrix(alg: LieAlgebra, phi: Functional) -> RationalMatrix:
-    """The skew matrix with (i, j) entry phi([b_i, b_j])."""
+def _kirillov_entries(alg: LieAlgebra, phi: Functional) -> dict[tuple[int, int], Fraction]:
+    """The nonzero entries phi([b_i, b_j]) with i < j of the Kirillov matrix."""
     vals = phi.values(alg)
-    m = [[Fraction(0)] * alg.dim for _ in range(alg.dim)]
+    out = {}
     for (i, j), vec in alg.brackets.items():
         v = sum((c * vals[t] for t, c in vec.items()), Fraction(0))
         if v:
-            m[i][j] = v
-            m[j][i] = -v
+            out[(i, j)] = v
+    return out
+
+
+def kirillov_matrix(alg: LieAlgebra, phi: Functional) -> RationalMatrix:
+    """The skew matrix with (i, j) entry phi([b_i, b_j])."""
+    m = [[Fraction(0)] * alg.dim for _ in range(alg.dim)]
+    for (i, j), v in _kirillov_entries(alg, phi).items():
+        m[i][j] = v
+        m[j][i] = -v
     return RationalMatrix(m)
 
 
@@ -375,9 +406,16 @@ def symbolic_extended(alg: LieAlgebra) -> tuple[list[list[Poly]], list]:
 class IndexEstimate:
     """Result of the randomized index computation.
 
-    `value` is a provable upper bound on the index; it equals the index
-    except with probability at most `failure_bound` (Schwartz-Zippel over
-    the sampling range, per trial, compounded over trials).
+    Each trial draws integer one-form coefficients in [-sample_bound,
+    sample_bound] and takes the rank of the Kirillov matrix modulo the prime
+    p = 2147483629.  A rank mod p never exceeds the rank over Q, so `value`
+    is a provable upper bound on the index.  Provided the algebra's index
+    over F_p equals its index over Q, it equals the index except with
+    probability at most `failure_bound` (Schwartz-Zippel over the sampling
+    range, per trial, compounded over trials).  If the two indices differ,
+    the estimate is too large every time: `sweep` reports a
+    `randomized-index` discrepancy, and `classify` shows `randomized` above
+    `formula`.
     """
 
     value: int
@@ -391,7 +429,10 @@ class IndexEstimate:
 
 
 def index(alg: LieAlgebra, trials: int = 3, seed: int = 0, bound: int = 10**6) -> IndexEstimate:
-    """dim - (max rank of the Kirillov matrix over random one-forms)."""
+    """dim - (max rank modulo p of the Kirillov matrix over random one-forms).
+
+    Rational structure constants are cleared by one common denominator,
+    which leaves the rank unchanged."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if alg.dim == 0:
@@ -399,9 +440,13 @@ def index(alg: LieAlgebra, trials: int = 3, seed: int = 0, bound: int = 10**6) -
     rng = random.Random(seed)
     best = 0
     for _ in range(trials):
-        phi = random_functional(alg, rng, bound)
-        r = kirillov_matrix(alg, phi).rank()
-        best = max(best, r)
+        entries = _kirillov_entries(alg, random_functional(alg, rng, bound))
+        scale = lcm(*(v.denominator for v in entries.values()))
+        rows = [[0] * alg.dim for _ in range(alg.dim)]
+        for (i, j), v in entries.items():
+            rows[i][j] = int(v * scale)
+            rows[j][i] = -rows[i][j]
+        best = max(best, rank_mod_p(rows))
     per_trial = min(Fraction(alg.dim, bound), Fraction(1))
     return IndexEstimate(alg.dim - best, trials, seed, bound, per_trial**trials)
 

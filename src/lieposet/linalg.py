@@ -2,7 +2,7 @@
 polynomial ring for symbolic rank and Pfaffian certificates.
 
 Determinants and ranks go through fraction-free Bareiss elimination on
-integerized rows; kernels use rational Gauss-Jordan; Pfaffians use skew
+integerized rows; kernels use sparse rational Gauss-Jordan; Pfaffians use skew
 congruence elimination, with a division-free expansion kept as an
 independent oracle.
 """
@@ -108,34 +108,43 @@ class RationalMatrix:
 
     def kernel(self) -> list[tuple[Fraction, ...]]:
         """A basis of the right kernel, one vector per free column, with the
-        free coordinate set to 1 (deterministic order)."""
-        m = [list(row) for row in self.data]
-        nrows, ncols = self.rows, self.cols
-        pivots = []  # (row, col)
-        r = 0
-        for c in range(ncols):
-            piv = next((i for i in range(r, nrows) if m[i][c]), None)
-            if piv is None:
+        free coordinate set to 1 (deterministic order).
+
+        Sparse Gauss-Jordan: rows are dicts of their nonzero entries, and
+        each pivot column is cleared only from the rows that hold it.  The
+        reduced row echelon form is unique, so the sparsest candidate row
+        can serve as the pivot without changing the basis."""
+        rows = [{j: x for j, x in enumerate(row) if x} for row in self.data]
+        free = set(range(len(rows)))  # rows not yet used as a pivot
+        pivot_row: dict[int, dict[int, Fraction]] = {}  # column -> reduced row
+        for c in range(self.cols):
+            holders = [i for i, row in enumerate(rows) if c in row]
+            candidates = [i for i in holders if i in free]
+            if not candidates:
                 continue
-            m[r], m[piv] = m[piv], m[r]
-            inv = 1 / m[r][c]
-            m[r] = [x * inv for x in m[r]]
-            for i in range(nrows):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append((r, c))
-            r += 1
-            if r == nrows:
-                break
-        pivot_cols = [c for _, c in pivots]
-        free_cols = [c for c in range(ncols) if c not in pivot_cols]
+            p = min(candidates, key=lambda i: len(rows[i]))
+            free.discard(p)
+            inv = 1 / rows[p][c]
+            piv = rows[p] = {j: x * inv for j, x in rows[p].items()}
+            for i in holders:
+                if i == p:
+                    continue
+                row, f = rows[i], rows[i][c]
+                for j, x in piv.items():
+                    v = row.get(j, 0) - f * x
+                    if v:
+                        row[j] = v
+                    else:
+                        del row[j]
+            pivot_row[c] = piv
         basis = []
-        for fc in free_cols:
-            v = [Fraction(0)] * ncols
+        for fc in range(self.cols):
+            if fc in pivot_row:
+                continue
+            v = [Fraction(0)] * self.cols
             v[fc] = Fraction(1)
-            for pr, pc in pivots:
-                v[pc] = -m[pr][fc]
+            for pc, piv in pivot_row.items():
+                v[pc] = -piv.get(fc, Fraction(0))
             basis.append(tuple(v))
         return basis
 
@@ -378,9 +387,6 @@ class Poly:
         return Poly(self.nvars, {m: v * c for m, v in self.terms.items()})
 
     __rmul__ = __mul__
-
-    def scale(self, c) -> "Poly":
-        return self * c
 
     @staticmethod
     def _key(mono: tuple) -> tuple:

@@ -10,7 +10,6 @@ cached on the instance.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional
@@ -572,10 +571,18 @@ def poset_to_json(P: Poset) -> dict:
     return {"n": P.n, "relations": [list(p) for p in P.pairs]}
 
 
+def json_int(x) -> int:
+    """x itself if it is a JSON integer; floats and booleans raise
+    TypeError rather than being truncated."""
+    if type(x) is not int:
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
+
+
 def poset_from_json(data: dict) -> Poset:
     try:
-        n = int(data["n"])
-        rels = [(int(i), int(j)) for i, j in data["relations"]]
+        n = json_int(data["n"])
+        rels = [(json_int(i), json_int(j)) for i, j in data["relations"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise OutOfRange(f"malformed poset JSON: {exc}") from exc
     return make_poset(n, rels)
@@ -594,8 +601,3 @@ def poset_to_dot(P: Poset) -> str:
         lines.append(f'  "{i}" -> "{j}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def load_poset_file(path: str) -> Poset:
-    with open(path, "r", encoding="utf-8") as fh:
-        return poset_from_json(json.load(fh))

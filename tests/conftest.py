@@ -102,6 +102,44 @@ def random_rational_matrix(rng: random.Random, rows: int, cols: int, span: int =
     ]
 
 
+def sympy_nullspace(rows) -> list[tuple[Fraction, ...]]:
+    """Right kernel basis by sympy's own elimination, free coordinates 1."""
+    import sympy
+
+    basis = sympy.Matrix([[sympy.Rational(str(x)) for x in row] for row in rows]).nullspace()
+    return [tuple(Fraction(str(x)) for x in v) for v in basis]
+
+
+def grow_h2_poset(rng: random.Random, min_n: int, contact: bool) -> Poset:
+    """A connected height-two poset of at least min_n elements, glued from
+    random blocks by a replay: with contact=True only contact rules and the
+    blocks P11, P112, P211 on top of P111 (contact by construction),
+    otherwise any block and rule.  Steps the rules reject are skipped."""
+    from lieposet.contact import BLOCKS, CONTACT_RULES, RULES, GluingStep, Replay
+    from lieposet.contact import rule_applies_to_block
+    from lieposet.errors import PolarityMismatch, RulePreconditionViolated
+
+    kinds = ("P11", "P112", "P211") if contact else tuple(BLOCKS)
+    rules = CONTACT_RULES if contact else tuple(RULES)
+    rep = Replay.start("P111" if contact else rng.choice(kinds))
+    while rep.poset.n < min_n:
+        kind = rng.choice(kinds)
+        rule = RULES[rng.choice([r for r in rules if rule_applies_to_block(r, kind)])]
+        ext = rep.poset.minimal + rep.poset.maximal
+        step = GluingStep(
+            kind,
+            rule.tag,
+            target_x=rng.choice(ext) if rule.id_c else None,
+            target_y=rng.choice(ext) if rule.id_a1 else None,
+            target_z=rng.choice(ext) if rule.id_a2 else None,
+        )
+        try:
+            rep = rep.apply(step)
+        except (RulePreconditionViolated, PolarityMismatch):
+            continue
+    return rep.poset
+
+
 def random_skew_matrix(rng: random.Random, n: int, span: int = 6):
     rows = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):

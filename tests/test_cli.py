@@ -84,6 +84,20 @@ class TestClassify:
         assert code == 2
         assert "error" in json.loads(out)
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"n": 2.5, "relations": []},
+            {"n": True, "relations": []},
+            {"n": 3, "relations": [[1, 2.7]]},
+        ],
+    )
+    def test_non_integer_poset_exits_two(self, capsys, tmp_path, data):
+        path = write_json(tmp_path, "bad.json", data)
+        code, out = run_cli(capsys, "classify", "--seed", "1", path)
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "OutOfRange"
+
     def test_height_three_rejected(self, capsys, tmp_path):
         path = write_json(
             tmp_path, "chain4.json", {"n": 4, "relations": [[1, 2], [2, 3], [3, 4]]}
@@ -198,6 +212,22 @@ class TestIndexCommand:
         code, out = run_cli(capsys, "index", "--seed", "5", path)
         report = json.loads(out)
         assert report["formula"] == 1 and report["randomized"] == 1
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"brackets": []},
+            {"dim": None, "brackets": []},
+            {"dim": 3, "brackets": [[1, 2, 5]]},
+            {"dim": 3, "brackets": [[1, 2, {"9": 1}]]},
+            {"dim": 3, "brackets": [[1, 2, {"3": 0.5}]]},
+        ],
+    )
+    def test_malformed_raw_algebra_exits_two(self, capsys, tmp_path, data):
+        path = write_json(tmp_path, "alg.json", data)
+        code, out = run_cli(capsys, "index", "--seed", "5", path)
+        assert code == 2
+        assert "error" in json.loads(out)
 
 
 class TestHomology:

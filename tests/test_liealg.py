@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import det_by_cofactors
+from conftest import det_by_cofactors, grow_h2_poset, sympy_nullspace
 from lieposet.errors import EvenDimension, HeightBound, JacobiViolation, SizeBound, TooSmall
 from lieposet.liealg import (
     DiagDiff,
@@ -168,6 +168,37 @@ class TestIndex:
         with pytest.raises(SizeBound):
             index_certified(g)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_beyond_symbolic_range(self, seed):
+        # same draws as index(): the mod-p value must equal both the
+        # combinatorial formula and the exact Bareiss rank over Q
+        rng = random.Random(seed)
+        P = grow_h2_poset(rng, rng.randint(15, 30), contact=seed % 2 == 0)
+        assert P.height == 2 and P.is_connected
+        g = build_type_a(P)
+        est = index(g, trials=3, seed=seed)
+        draws = random.Random(seed)
+        exact = max(
+            kirillov_matrix(g, random_functional(g, draws, est.sample_bound)).rank()
+            for _ in range(3)
+        )
+        assert est.value == index_formula_h2(P) == g.dim - exact
+
+    def test_rational_structure_constants(self):
+        # halving every bracket gives an isomorphic algebra (b -> 2b), so the
+        # index is unchanged; its Kirillov entries are cleared by one lcm
+        P = grow_h2_poset(random.Random(11), 12, contact=False)
+        g = build_type_a(P)
+        halved = build_raw(
+            g.dim,
+            [
+                (i + 1, j + 1, {str(t + 1): c / 2 for t, c in vec.items()})
+                for (i, j), vec in g.brackets.items()
+            ],
+        )
+        assert any(c.denominator == 2 for vec in halved.brackets.values() for c in vec.values())
+        assert index(halved, seed=4).value == index(g, seed=4).value == index_formula_h2(P)
+
 
 class TestIndexFormula:
     def test_fork(self, fork_poset):
@@ -232,6 +263,24 @@ class TestCenter:
 
     def test_abelian_center_is_everything(self):
         assert len(center(build_raw(3, []))) == 3
+
+    def test_matches_sympy_nullspace_up_to_five_elements(self):
+        # the equations [z, b_j] = 0, one row per (j, target), assembled
+        # here from bracket() and solved by sympy
+        nonzero = 0
+        for n in range(2, 6):
+            for P in enumerate_posets(n):
+                g = build_type_a(P)
+                rows = []
+                for j in range(g.dim):
+                    for t in range(g.dim):
+                        row = [g.bracket(k, j).get(t, Fraction(0)) for k in range(g.dim)]
+                        if any(row):
+                            rows.append(row)
+                basis = center(g)
+                assert basis == sympy_nullspace(rows or [[0] * g.dim])
+                nonzero += bool(basis)
+        assert nonzero > 0
 
     def test_center_elements_commute_post_hoc(self):
         P = disjoint_sum(complete_poset([1, 1, 2]), make_poset(2, [(1, 2)]))

@@ -8,6 +8,7 @@ from conftest import (
     pfaffian_by_pairings,
     random_rational_matrix,
     random_skew_matrix,
+    sympy_nullspace,
 )
 from lieposet.errors import ShapeMismatch
 from lieposet.linalg import (
@@ -99,6 +100,21 @@ class TestKernel:
         assert len(basis) == 2
         stacked = RationalMatrix(basis)
         assert stacked.rank() == 2
+
+    def test_matches_sympy_nullspace_on_random_matrices(self):
+        # sympy's nullspace also sets each free coordinate to 1, and the
+        # basis read off the reduced row echelon form is unique
+        rng = random.Random(9)
+        for _ in range(300):
+            nrows, ncols = rng.randint(1, 6), rng.randint(1, 7)
+            rows = [
+                [
+                    Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.5 else 0
+                    for _ in range(ncols)
+                ]
+                for _ in range(nrows)
+            ]
+            assert RationalMatrix(rows).kernel() == sympy_nullspace(rows)
 
 
 class TestModP:
