@@ -9,9 +9,9 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Optional
 
-from .errors import HeightBound, MorseConditionViolated, SizeBound
+from .errors import HeightBound, MorseConditionViolated, OutOfRange, SizeBound
 from .linalg import RationalMatrix
-from .posets import Poset
+from .posets import Poset, json_int
 
 BETTI_DIM_BOUND = 3
 
@@ -168,4 +168,13 @@ def complex_to_json(K: SimplicialComplex) -> dict:
 
 
 def complex_from_json(data: dict) -> SimplicialComplex:
-    return SimplicialComplex(tuple(face) for face in data["faces"])
+    """SimplicialComplex from {"faces": [[v, ...], ...]} with integer
+    vertices; malformed input raises OutOfRange."""
+    try:
+        faces = data["faces"]
+        if type(faces) is not list or any(type(face) is not list for face in faces):
+            raise TypeError("faces must be a list of vertex lists")
+        faces = [tuple(json_int(v) for v in face) for face in faces]
+    except (KeyError, TypeError) as exc:
+        raise OutOfRange(f"malformed complex JSON: {exc}") from exc
+    return SimplicialComplex(faces)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .errors import (
@@ -22,19 +23,19 @@ from .errors import (
     RegularSearchExhausted,
     RuleBlockMismatch,
     RulePreconditionViolated,
+    ShapeMismatch,
 )
 from .liealg import (
     Elem,
     Functional,
     LieAlgebra,
     build_type_a,
-    extended_matrix,
     is_frobenius_h2,
-    kirillov_matrix,
+    kirillov_rows,
     random_functional,
-    symbolic_extended,
+    symbolic_kirillov,
 )
-from .linalg import Poly, pfaffian_expansion
+from .linalg import Poly, nonsingular, pfaffian_expansion, rank_at_least
 from .posets import (
     Poset,
     _bits,
@@ -42,6 +43,7 @@ from .posets import (
     disjoint_sum,
     interior_shape,
     is_forest,
+    json_int,
     make_poset,
     split_components,
 )
@@ -305,15 +307,14 @@ class ContactSequence:
         for k, entry in enumerate(raw):
             if not isinstance(entry, dict) or "block" not in entry:
                 raise InvalidSequence(k, "step is missing its block")
-            steps.append(
-                GluingStep(
-                    block=entry["block"],
-                    rule=entry.get("rule"),
-                    target_x=entry.get("c"),
-                    target_y=entry.get("a1"),
-                    target_z=entry.get("a2"),
-                )
-            )
+            block, rule = entry["block"], entry.get("rule")
+            if type(block) is not str or not (rule is None or type(rule) is str):
+                raise InvalidSequence(k, "block and rule must be strings")
+            try:
+                targets = [json_int(entry[t]) if t in entry else None for t in ("c", "a1", "a2")]
+            except TypeError as exc:
+                raise InvalidSequence(k, f"malformed target: {exc}") from exc
+            steps.append(GluingStep(block, rule, *targets))
         return cls(tuple(steps))
 
 
@@ -421,25 +422,29 @@ _FORM_TERMS = {
 }
 
 
+def _form_pairs(rep: Replay) -> list[tuple[int, int]]:
+    """The off-diagonal positions of the recursive contact form, in the
+    final labels, for a replay whose P(1,1,1) block comes first."""
+    r0 = rep.roles[0]
+    pairs = [(r0["x"], r0["y"]), (r0["m"], r0["y"])]
+    for step, roles in zip(rep.steps[1:], rep.roles[1:]):
+        if step.block == "P11" and step.rule == "D1":
+            continue  # both endpoints identified over an existing relation
+        group = "A" if step.rule in ("A1", "A2", "C") else step.rule
+        pairs.extend((roles[ra], roles[rb]) for ra, rb in _FORM_TERMS[(group, step.block)])
+    return pairs
+
+
 def contact_form_from_replay(rep: Replay) -> Functional:
     """The recursively accumulated one-form of a replayed contact sequence,
     in the final labels; every coefficient is 1."""
     if rep.p111_pos != 0:
         raise InvalidSequence(0, "the contact form recursion needs the P(1,1,1) block first")
-    r0 = rep.roles[0]
-    terms: dict[tuple[int, int], int] = {
-        (r0["m"], r0["m"]): 1,
-        (r0["x"], r0["y"]): 1,
-        (r0["m"], r0["y"]): 1,
-    }
-    for step, roles in zip(rep.steps[1:], rep.roles[1:]):
-        if step.block == "P11" and step.rule == "D1":
-            continue  # both endpoints identified over an existing relation
-        group = "A" if step.rule in ("A1", "A2", "C") else step.rule
-        for ra, rb in _FORM_TERMS[(group, step.block)]:
-            pos = (roles[ra], roles[rb])
-            assert pos not in terms, "duplicate contact-form term"
-            terms[pos] = 1
+    m = rep.roles[0]["m"]
+    terms: dict[tuple[int, int], int] = {(m, m): 1}
+    for pos in _form_pairs(rep):
+        assert pos not in terms, "duplicate contact-form term"
+        terms[pos] = 1
     return Functional.on_positions(terms)
 
 
@@ -460,8 +465,9 @@ def translate_functional(phi: Functional, mapping: dict[int, int]) -> Functional
 
 
 def verify_contact_form(alg: LieAlgebra, phi: Functional) -> bool:
-    """Determinant criterion: the bordered Kirillov matrix is nonsingular."""
-    return extended_matrix(alg, phi).determinant() != 0
+    """Determinant criterion: the bordered Kirillov matrix is nonsingular
+    (EvenDimension in even dimension)."""
+    return nonsingular(kirillov_rows(alg, phi, bordered=True)[0])
 
 
 def cycle_obstruction(P: Poset) -> Optional[list[int]]:
@@ -502,14 +508,22 @@ def expected_kernel(P: Poset) -> list[Fraction]:
     return expected_kernel_coords(P, emb[r0["x"]], emb[r0["m"]])
 
 
+def _annihilates(rows: list[list[int]], coords, off: int = 0) -> bool:
+    """coords != 0 and B coords == 0, where B is `rows` without its first
+    `off` rows and columns; coords is cleared to integers first."""
+    if len(coords) != len(rows) - off:
+        raise ShapeMismatch(f"vector length {len(coords)} != {len(rows) - off} columns")
+    d = lcm(*(c.denominator for c in coords))
+    L = {k + off: c.numerator * (d // c.denominator) for k, c in enumerate(coords) if c}
+    return bool(L) and not any(sum(row[k] * c for k, c in L.items()) for row in rows[off:])
+
+
 def kernel_is_span_of(alg: LieAlgebra, phi: Functional, coords) -> bool:
-    """ker(B_phi) == span{coords}: containment plus dimension exactly one."""
-    B = kirillov_matrix(alg, phi)
-    if any(B.mul_vector(coords)):
-        return False
-    if not any(coords):
-        return False
-    return B.rank() == alg.dim - 1
+    """ker(B_phi) == span{coords}: containment plus rank at least dim - 1
+    (B is skew with coords != 0 in its kernel, so its rank is at most
+    dim - 1)."""
+    rows, _ = kirillov_rows(alg, phi)
+    return _annihilates(rows, coords) and rank_at_least(rows, alg.dim - 1)
 
 
 def verify_replay(rep: Replay) -> bool:
@@ -517,51 +531,16 @@ def verify_replay(rep: Replay) -> bool:
     replayed contact sequence: the accumulated one-form has a nonsingular
     bordered Kirillov matrix, and the predicted generator spans the kernel.
 
-    B L = 0 is checked exactly in integer arithmetic; a nonsingular
-    bordered matrix then pins the rank of B at dim - 1 (skew matrices have
-    even rank, and removing the border changes rank by at most two), so the
-    kernel is exactly span{L}.  Nonsingularity is certified by a full rank
-    modulo a prime, with exact elimination as the fallback authority.
+    B L = 0 is checked exactly on the integer rows; a nonsingular bordered
+    matrix then pins the rank of B at dim - 1 (skew matrices have even
+    rank, and removing the border changes rank by at most two), so the
+    kernel is exactly span{L}.
     """
-    from .linalg import RationalMatrix, rank_mod_p
-
     alg = build_type_a(rep.poset)
-    phi = contact_form_from_replay(rep)
     r0 = rep.roles[0]
     coords = expected_kernel_coords(rep.poset, r0["x"], r0["m"], alg=alg)
-    # everything in sight is integral: structure constants, form
-    # coefficients, and the kernel generator's coordinates
-    vals = [int(v) for v in phi.values(alg)]
-    dim = alg.dim
-    table = {
-        pos: {t: int(c) for t, c in vec.items()} for pos, vec in alg.brackets.items()
-    }
-    L = {k: int(c) for k, c in enumerate(coords) if c}
-    if not L:
-        return False
-    # (B L)_i = phi([b_i, L]), assembled sparsely from the bracket table
-    image = [0] * dim
-    for (i, j), vec in table.items():
-        entry = sum(c * vals[t] for t, c in vec.items())
-        if not entry:
-            continue
-        if j in L:
-            image[i] += entry * L[j]
-        if i in L:
-            image[j] -= entry * L[i]
-    if any(image):
-        return False
-    rows = [[0] * (dim + 1) for _ in range(dim + 1)]
-    for k, v in enumerate(vals):
-        rows[0][k + 1] = v
-        rows[k + 1][0] = -v
-    for (i, j), vec in table.items():
-        entry = sum(c * vals[t] for t, c in vec.items())
-        rows[i + 1][j + 1] = entry
-        rows[j + 1][i + 1] = -entry
-    if rank_mod_p(rows) == dim + 1:
-        return True
-    return RationalMatrix(rows).determinant() != 0
+    rows, _ = kirillov_rows(alg, contact_form_from_replay(rep), bordered=True)
+    return _annihilates(rows, coords, off=1) and nonsingular(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -863,7 +842,7 @@ def is_contact(alg: LieAlgebra, trials: int = 3, seed: int = 0, bound: int = 10*
             "not-contact-certified", reason=cls.obstruction.message
         )
     if alg.dim <= SYMBOLIC_PFAFFIAN_BOUND:
-        mat, _keys = symbolic_extended(alg)
+        mat, _keys = symbolic_kirillov(alg, bordered=True)
         nv = mat[0][0].nvars
         pf = pfaffian_expansion(mat, Poly.zero(nv), is_zero=lambda p: p.is_zero())
         if pf.is_zero():
@@ -910,8 +889,8 @@ def disconnected_contact_form(P1: Poset, P2: Poset, seed: int = 0, bound: int = 
     rng = random.Random(seed)
     for _attempt in range(64):
         phi = random_functional(alg, rng, bound)
-        if kirillov_matrix(alg, phi).rank() != alg.dim - 1:
-            continue  # not regular
+        if not rank_at_least(kirillov_rows(alg, phi)[0], alg.dim - 1):
+            continue  # not regular (odd dimension: the rank is at most dim - 1)
         phi_z = sum(diag[i - 1] * phi.coeffs.get((i, i), Fraction(0)) for i in range(1, n + 1))
         # move along the dual of the central direction: adjusting the
         # (n, n) diagonal coefficient by -delta/|P1| changes phi(z) by delta
@@ -947,22 +926,15 @@ def _disconnected_form_on(P: Poset, seed: int = 0) -> Functional:
 
 def _replay_orbit_key(rep: Replay, include_form: bool = True):
     """Canonical key identifying replays up to a relabeling symmetry of the
-    accumulated poset that preserves everything the contact form depends on."""
+    accumulated poset that preserves everything the contact form depends on.
+    Only a replay whose P(1,1,1) block comes first carries a contact form;
+    any other replay is keyed as with `include_form` off."""
     P = rep.poset
-    if not include_form:
+    if not include_form or rep.p111_pos != 0:
         return (_canonical_encoding(P.n, P.pairs), rep.p111_used)
-    term_pairs: list[tuple[int, int]] = []
-    marks: dict[int, str] = {}
-    if rep.p111_pos is not None:
-        r0 = rep.roles[rep.p111_pos]
-        marks = {r0["x"]: "a", r0["m"]: "b", r0["y"]: "c"}
-        term_pairs = [(r0["x"], r0["y"]), (r0["m"], r0["y"])]
-        for step, roles in zip(rep.steps[1:], rep.roles[1:]):
-            if step.block == "P11" and step.rule == "D1":
-                continue
-            group = "A" if step.rule in ("A1", "A2", "C") else step.rule
-            for ra, rb in _FORM_TERMS[(group, step.block)]:
-                term_pairs.append((roles[ra], roles[rb]))
+    r0 = rep.roles[0]
+    marks = {r0["x"]: "a", r0["m"]: "b", r0["y"]: "c"}
+    term_pairs = _form_pairs(rep)
     out_deg: dict[int, int] = {}
     in_deg: dict[int, int] = {}
     for a, b in term_pairs:

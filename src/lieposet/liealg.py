@@ -316,40 +316,54 @@ def random_functional(alg: LieAlgebra, rng: random.Random, bound: int) -> Functi
 # Kirillov machinery
 
 
-def _kirillov_entries(alg: LieAlgebra, phi: Functional) -> dict[tuple[int, int], Fraction]:
-    """The nonzero entries phi([b_i, b_j]) with i < j of the Kirillov matrix."""
+def kirillov_rows(
+    alg: LieAlgebra, phi: Functional, bordered: bool = False
+) -> tuple[list[list[int]], int]:
+    """Integer rows R and an integer s > 0 such that R / s is the Kirillov
+    matrix [phi([b_i, b_j])], or with `bordered` that matrix bordered by
+    phi's values (top row (0, phi), left column (0, -phi)); the bordered
+    matrix is defined only in odd dimension.
+
+    phi's values are cleared by the lcm of their denominators and the
+    structure constants by the lcm of theirs; the border is multiplied by
+    the constants' lcm, so that one s fits every entry.  A uniform positive
+    scale leaves rank and nonsingularity unchanged."""
+    if bordered and alg.dim % 2 == 0:
+        raise EvenDimension(f"dimension {alg.dim} is even")
     vals = phi.values(alg)
-    out = {}
+    dv = lcm(*(v.denominator for v in vals))
+    ivals = [v.numerator * (dv // v.denominator) for v in vals]
+    dc = lcm(*(c.denominator for vec in alg.brackets.values() for c in vec.values()))
+    off = 1 if bordered else 0
+    size = alg.dim + off
+    rows = [[0] * size for _ in range(size)]
     for (i, j), vec in alg.brackets.items():
-        v = sum((c * vals[t] for t, c in vec.items()), Fraction(0))
-        if v:
-            out[(i, j)] = v
-    return out
+        e = sum(c.numerator * (dc // c.denominator) * ivals[t] for t, c in vec.items())
+        rows[i + off][j + off] = e
+        rows[j + off][i + off] = -e
+    if bordered:
+        for k, v in enumerate(ivals, start=1):
+            rows[0][k] = v * dc
+            rows[k][0] = -v * dc
+    return rows, dv * dc
 
 
 def kirillov_matrix(alg: LieAlgebra, phi: Functional) -> RationalMatrix:
     """The skew matrix with (i, j) entry phi([b_i, b_j])."""
-    m = [[Fraction(0)] * alg.dim for _ in range(alg.dim)]
-    for (i, j), v in _kirillov_entries(alg, phi).items():
-        m[i][j] = v
-        m[j][i] = -v
-    return RationalMatrix(m)
+    rows, s = kirillov_rows(alg, phi)
+    return RationalMatrix([[Fraction(x, s) for x in row] for row in rows])
 
 
 def extended_matrix(alg: LieAlgebra, phi: Functional) -> RationalMatrix:
     """The Kirillov matrix bordered by the coefficient vector of phi;
     defined only in odd dimension."""
-    if alg.dim % 2 == 0:
-        raise EvenDimension(f"dimension {alg.dim} is even")
-    vals = phi.values(alg)
-    B = kirillov_matrix(alg, phi)
-    top = [Fraction(0)] + vals
-    body = [[-vals[i]] + list(B.data[i]) for i in range(alg.dim)]
-    return RationalMatrix([top] + body)
+    rows, s = kirillov_rows(alg, phi, bordered=True)
+    return RationalMatrix([[Fraction(x, s) for x in row] for row in rows])
 
 
-def symbolic_kirillov(alg: LieAlgebra) -> tuple[list[list[Poly]], list]:
-    """Kirillov matrix with one polynomial variable per dual coefficient.
+def symbolic_kirillov(alg: LieAlgebra, bordered: bool = False) -> tuple[list[list[Poly]], list]:
+    """Kirillov matrix with one polynomial variable per dual coefficient,
+    bordered by the generic form's values when `bordered` is set.
 
     Returns (matrix, ordered dual keys).
     """
@@ -374,28 +388,9 @@ def symbolic_kirillov(alg: LieAlgebra) -> tuple[list[list[Poly]], list]:
             entry = entry + vals[t] * c
         m[i][j] = entry
         m[j][i] = -entry
+    if bordered:
+        m = [[zero] + vals] + [[-vals[i]] + m[i] for i in range(alg.dim)]
     return m, keys
-
-
-def symbolic_extended(alg: LieAlgebra) -> tuple[list[list[Poly]], list]:
-    if alg.dim % 2 == 0:
-        raise EvenDimension(f"dimension {alg.dim} is even")
-    m, keys = symbolic_kirillov(alg)
-    nv = len(keys)
-    key_index = {k: i for i, k in enumerate(keys)}
-
-    def basis_poly(k: int) -> Poly:
-        if alg.is_matrix_based:
-            out = Poly.zero(nv)
-            for pos, c in alg.matrix_entries(k).items():
-                out = out + Poly.variable(key_index[pos], nv) * c
-            return out
-        return Poly.variable(key_index[k + 1], nv)
-
-    vals = [basis_poly(k) for k in range(alg.dim)]
-    top = [Poly.zero(nv)] + vals
-    body = [[-vals[i]] + m[i] for i in range(alg.dim)]
-    return [top] + body, keys
 
 
 # ---------------------------------------------------------------------------
@@ -429,10 +424,8 @@ class IndexEstimate:
 
 
 def index(alg: LieAlgebra, trials: int = 3, seed: int = 0, bound: int = 10**6) -> IndexEstimate:
-    """dim - (max rank modulo p of the Kirillov matrix over random one-forms).
-
-    Rational structure constants are cleared by one common denominator,
-    which leaves the rank unchanged."""
+    """dim - (max rank modulo p of the Kirillov matrix over random one-forms),
+    taken on the integer rows of `kirillov_rows`."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if alg.dim == 0:
@@ -440,12 +433,7 @@ def index(alg: LieAlgebra, trials: int = 3, seed: int = 0, bound: int = 10**6) -
     rng = random.Random(seed)
     best = 0
     for _ in range(trials):
-        entries = _kirillov_entries(alg, random_functional(alg, rng, bound))
-        scale = lcm(*(v.denominator for v in entries.values()))
-        rows = [[0] * alg.dim for _ in range(alg.dim)]
-        for (i, j), v in entries.items():
-            rows[i][j] = int(v * scale)
-            rows[j][i] = -rows[i][j]
+        rows, _ = kirillov_rows(alg, random_functional(alg, rng, bound))
         best = max(best, rank_mod_p(rows))
     per_trial = min(Fraction(alg.dim, bound), Fraction(1))
     return IndexEstimate(alg.dim - best, trials, seed, bound, per_trial**trials)

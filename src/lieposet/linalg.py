@@ -2,9 +2,10 @@
 polynomial ring for symbolic rank and Pfaffian certificates.
 
 Determinants and ranks go through fraction-free Bareiss elimination on
-integerized rows; kernels use sparse rational Gauss-Jordan; Pfaffians use skew
-congruence elimination, with a division-free expansion kept as an
-independent oracle.
+integerized rows; `nonsingular` and `rank_at_least` on integer rows try the
+rank modulo a prime first and fall back to Bareiss.  Kernels use sparse
+rational Gauss-Jordan; Pfaffians use skew congruence elimination, with a
+division-free expansion kept as an independent oracle.
 """
 
 from __future__ import annotations
@@ -270,23 +271,23 @@ def rank_mod_p(int_rows: list[list[int]], p: int = _MODP_PRIME) -> int:
     return r
 
 
-def certified_nonsingular(mat: "RationalMatrix") -> bool:
-    """Exact nonsingularity test with a fast path: a full rank modulo a
-    prime certifies det != 0; otherwise decide by exact elimination."""
-    if mat.rows != mat.cols:
+def nonsingular(int_rows: list[list[int]]) -> bool:
+    """det != 0 for a square integer matrix.  A full rank modulo p decides
+    at once; otherwise exact Bareiss elimination decides."""
+    n = len(int_rows)
+    if any(len(row) != n for row in int_rows):
         raise ShapeMismatch("nonsingularity needs a square matrix")
-    rows, _ = mat._int_rows()
-    if rank_mod_p(rows) == mat.rows:
+    if rank_mod_p(int_rows) == n:
         return True
-    return mat.determinant() != 0
+    return RationalMatrix(int_rows).determinant() != 0
 
 
-def certified_rank_at_least(mat: "RationalMatrix", k: int) -> bool:
-    """Exact one-sided rank test with a mod-p fast path."""
-    rows, _ = mat._int_rows()
-    if rank_mod_p(rows) >= k:
+def rank_at_least(int_rows: list[list[int]], k: int) -> bool:
+    """rank >= k for an integer matrix, with the same mod-p fast path and
+    exact fallback as `nonsingular`."""
+    if rank_mod_p(int_rows) >= k:
         return True
-    return mat.rank() >= k
+    return RationalMatrix(int_rows).rank() >= k
 
 
 def pfaffian_expansion(mat, zero, is_zero=None):

@@ -17,7 +17,6 @@ from .liealg import (
     index_formula_h2,
     is_frobenius_h2,
     random_functional,
-    extended_matrix,
     SYMBOLIC_INDEX_BOUND,
 )
 from .posets import enumerate_posets, poset_to_json
@@ -73,7 +72,7 @@ def run_sweep(max_n: int, seed: int, trials: int = 3, bound: int = 10**6) -> dic
                     rng = random.Random(local_seed)
                     for _ in range(2):
                         phi = random_functional(alg, rng, bound)
-                        if extended_matrix(alg, phi).determinant() != 0:
+                        if verify_contact_form(alg, phi):
                             report("noncontact-witness", "sampled witness on a NotContact verdict")
                             break
             elif cls.contact:

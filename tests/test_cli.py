@@ -183,6 +183,24 @@ class TestBuild:
         assert code == 2
         assert "exactly once" in json.loads(out)["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "steps",
+        [
+            [{"block": "P111"}, {"block": "P112", "rule": "C", "c": True}],
+            [{"block": "P111"}, {"block": "P112", "rule": "C", "c": 1.0}],
+            [{"block": "P111"}, {"block": "P112", "rule": "C", "c": "1"}],
+            [{"block": "P111"}, {"block": "P11", "rule": "A1", "c": 1, "a1": None}],
+            [{"block": "P111"}, {"block": "P112", "rule": 3, "c": 1}],
+            [{"block": "P111"}, {"block": ["P112"], "rule": "C", "c": 1}],
+            [{"block": []}],
+        ],
+    )
+    def test_malformed_step_exits_two(self, capsys, tmp_path, steps):
+        path = write_json(tmp_path, "seq.json", {"steps": steps})
+        code, out = run_cli(capsys, "build", path)
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "InvalidSequence"
+
 
 class TestIndexCommand:
     def test_raw_algebra_file(self, capsys, tmp_path):
@@ -260,6 +278,15 @@ class TestHomology:
         )
         code, _ = run_cli(capsys, "homology", path)
         assert code == 4
+
+    @pytest.mark.parametrize(
+        "data", [{"faces": 5}, {"faces": [5]}, {"faces": [[1, "a"]]}, {"faces": [[1, True]]}]
+    )
+    def test_malformed_complex_exits_two(self, capsys, tmp_path, data):
+        path = write_json(tmp_path, "k.json", data)
+        code, out = run_cli(capsys, "homology", path)
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "OutOfRange"
 
 
 class TestExportDot:

@@ -45,6 +45,7 @@ from lieposet.liealg import (
     random_functional,
 )
 from lieposet.posets import (
+    _canonical_encoding,
     are_isomorphic,
     complete_poset,
     disjoint_sum,
@@ -508,6 +509,20 @@ class TestReplayInvariants:
         for rep in generate_contact_replays(3):
             assert rep.poset.is_connected
             assert rep.poset.height <= 2
+
+    def test_form_keys_without_the_chain_block_first(self):
+        # only replays whose P(1,1,1) block comes first carry a contact form;
+        # the rest are keyed by their poset, so every poset is still reached
+        with_form = list(generate_contact_replays(3, p111_first=False))
+        without = list(generate_contact_replays(3, p111_first=False, include_form=False))
+        assert len(with_form) > len(without)
+
+        def classes(reps):
+            return {(_canonical_encoding(r.poset.n, r.poset.pairs), r.p111_used) for r in reps}
+
+        assert classes(with_form) == classes(without)
+        assert any(r.p111_pos not in (0, None) for r in with_form)
+        assert all(verify_replay(r) for r in with_form if r.p111_pos == 0)
 
     def test_deep_generation_with_element_cap(self):
         for rep in generate_contact_replays(4, max_elements=9):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import det_by_cofactors, grow_h2_poset, sympy_nullspace
+from lieposet.contact import disconnected_contact_form, verify_contact_form
 from lieposet.errors import EvenDimension, HeightBound, JacobiViolation, SizeBound, TooSmall
 from lieposet.liealg import (
     DiagDiff,
@@ -18,6 +19,7 @@ from lieposet.liealg import (
     index_formula_h2,
     is_frobenius_h2,
     kirillov_matrix,
+    kirillov_rows,
     random_functional,
     _jacobi_witness,
 )
@@ -135,6 +137,56 @@ class TestExtendedMatrix:
         vals = PHI_0.values(g)
         assert list(m.data[0][1:]) == vals
         assert [m.data[i + 1][0] for i in range(g.dim)] == [-v for v in vals]
+
+
+class TestKirillovRows:
+    @staticmethod
+    def rebuilt(g, phi):
+        """Kirillov and bordered matrices straight from bracket() and values()."""
+        vals = phi.values(g)
+        B = [
+            [sum((c * vals[t] for t, c in g.bracket(i, j).items()), Fraction(0)) for j in range(g.dim)]
+            for i in range(g.dim)
+        ]
+        ext = [[Fraction(0)] + vals] + [[-vals[i]] + B[i] for i in range(g.dim)]
+        return tuple(map(tuple, B)), tuple(map(tuple, ext))
+
+    def test_exact_under_scaling(self):
+        # a contact form with a /4 coefficient, and the same values on an
+        # algebra with halved (rational) brackets: both clear to one scale
+        P1 = complete_poset([1, 1, 2])
+        phi = disconnected_contact_form(P1, P1, seed=4)
+        assert any(c.denominator > 1 for c in phi.coeffs.values())
+        g = build_type_a(disjoint_sum(P1, P1))
+        halved = build_raw(
+            g.dim,
+            [
+                (i + 1, j + 1, {str(t + 1): c / 2 for t, c in vec.items()})
+                for (i, j), vec in g.brackets.items()
+            ],
+        )
+        psi = Functional.on_basis({k + 1: v for k, v in enumerate(phi.values(g))})
+        cases = [
+            (g, phi),
+            (halved, psi),
+            (halved, random_functional(halved, random.Random(5), 50)),
+            (halved, Functional.on_basis({1: Fraction(1, 3)})),
+        ]
+        verdicts = []
+        for alg, form in cases:
+            B, ext = self.rebuilt(alg, form)
+            assert kirillov_matrix(alg, form).data == B
+            assert extended_matrix(alg, form).data == ext
+            verdict = verify_contact_form(alg, form)
+            assert verdict == (extended_matrix(alg, form).determinant() != 0)
+            verdicts.append(verdict)
+        assert verdicts[:2] == [True, True] and verdicts[3] is False
+
+    def test_scale_is_shared(self):
+        g = build_raw(3, [(1, 2, {"3": Fraction(1, 3)})])
+        rows, s = kirillov_rows(g, Functional.on_basis({3: Fraction(1, 2)}), bordered=True)
+        assert s == 6
+        assert rows == [[0, 0, 0, 3], [0, 0, 1, 0], [0, -1, 0, 0], [-3, 0, 0, 0]]
 
 
 class TestIndex:

@@ -14,9 +14,9 @@ from lieposet.errors import ShapeMismatch
 from lieposet.linalg import (
     Poly,
     RationalMatrix,
-    certified_nonsingular,
-    certified_rank_at_least,
+    nonsingular,
     pfaffian_expansion,
+    rank_at_least,
     rank_mod_p,
     symbolic_rank,
 )
@@ -125,12 +125,52 @@ class TestModP:
             assert rank_mod_p(rows) == RationalMatrix(rows).rank()
 
     def test_certified_helpers(self):
-        m = RationalMatrix([[2, 0], [0, 3]])
-        assert certified_nonsingular(m)
-        assert certified_rank_at_least(m, 2)
-        singular = RationalMatrix([[1, 2], [2, 4]])
-        assert not certified_nonsingular(singular)
-        assert not certified_rank_at_least(singular, 2)
+        m = [[2, 0], [0, 3]]
+        assert nonsingular(m)
+        assert rank_at_least(m, 2)
+        singular = [[1, 2], [2, 4]]
+        assert not nonsingular(singular)
+        assert not rank_at_least(singular, 2)
+        with pytest.raises(ShapeMismatch):
+            nonsingular([[1, 2]])
+
+    def test_exact_fallback_when_p_divides_the_determinant(self):
+        # det = p, so the rank mod p is deficient while the matrix is nonsingular
+        m = [[2147483629, 0], [0, 1]]
+        assert rank_mod_p(m) == 1
+        assert nonsingular(m)
+        assert rank_at_least(m, 2)
+        assert not rank_at_least(m, 3)
+
+    def test_decisions_match_sympy(self):
+        # low-rank products U V and skew U^T S U, so singular matrices are
+        # common; sympy's det() and rank() share no code with linalg
+        import sympy
+
+        rng = random.Random(23)
+        verdicts = set()
+        for trial in range(80):
+            n, m = rng.randint(1, 6), rng.randint(1, 6)
+            r = rng.randint(0, min(n, m))
+            if trial % 2:
+                m = n
+                U = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(r)]
+                S = [[int(x) for x in row] for row in random_skew_matrix(rng, r, span=4)]
+                rows = [
+                    [sum(U[a][i] * S[a][b] * U[b][j] for a in range(r) for b in range(r)) for j in range(n)]
+                    for i in range(n)
+                ]
+            else:
+                U = [[rng.randint(-4, 4) for _ in range(r)] for _ in range(n)]
+                V = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(r)]
+                rows = [[sum(U[i][t] * V[t][j] for t in range(r)) for j in range(m)] for i in range(n)]
+            oracle = sympy.Matrix(rows)
+            if n == m:
+                assert nonsingular(rows) == (oracle.det() != 0), rows
+                verdicts.add((trial % 2, nonsingular(rows)))
+            for k in range(min(n, m) + 2):
+                assert rank_at_least(rows, k) == (oracle.rank() >= k), (rows, k)
+        assert verdicts == {(0, False), (0, True), (1, False), (1, True)}
 
 
 class TestTextFormat:
