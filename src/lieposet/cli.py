@@ -13,7 +13,7 @@ import json
 import sys
 
 from .cohomology import ce_cohomology_dims, CE_DIM_BOUND
-from .complexes import betti_numbers, complex_from_json, order_complex
+from .complexes import betti_numbers, check_homology_dimension, complex_from_json, order_complex
 from .contact import (
     ContactSequence,
     classify_h2,
@@ -178,6 +178,7 @@ def cmd_homology(args) -> int:
     data = _read_json(args.file)
     if "relations" in data:
         P = poset_from_json(data)
+        check_homology_dimension(P.height)  # the order complex's dimension
         K = order_complex(P)
         report = {"poset": poset_to_json(P)}
     elif "faces" in data:

@@ -1,55 +1,62 @@
 """Low-degree Lie algebra cohomology with adjoint coefficients.
 
 Exact ranks of the differentials d0: g -> Hom(g, g), d1, d2 give the
-cohomology dimensions by rank-nullity.  For poset algebras the cochain
-spaces split under the diagonal torus into weight blocks that the
-differential preserves, so each rank is a sum of small exact ranks; raw
-algebras fall back to a single block.
+cohomology dimensions by rank-nullity.  The differentials are assembled on
+the algebra's integer structure-constant table: it is the bracket scaled
+by the algebra's denominator (1 for poset algebras), which scales every
+differential by the same factor and leaves every rank unchanged.  For
+poset algebras the cochain spaces split under the diagonal torus into
+weight blocks that the differential preserves, so each rank is a sum of
+small exact integer ranks; raw algebras fall back to a single block.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
-from .errors import SizeBound
-from .liealg import DiagDiff, Elem, LieAlgebra
-from .linalg import RationalMatrix
+from .errors import InternalInvariant, SizeBound
+from .liealg import DiagDiff, Elem, LieAlgebra, RawBasis
+from .linalg import exact_rank
 
 CE_DIM_BOUND = 14
 
 
-def _basis_weights(alg: LieAlgebra) -> list[tuple]:
-    if not alg.is_matrix_based:
-        return [()] * alg.dim
-    n = alg.origin.n
+def _basis_weights(alg: LieAlgebra) -> list[int]:
+    """Torus weight of each basis element: e_p - e_q for E_{p,q}, 0 for the
+    diagonal, and 0 for every element of a raw algebra (a single block).
+
+    A weight vector (x_1, ..., x_n) is encoded as the integer sum of
+    x_p 16^(p-1).  A cochain of degree at most 3 has weight entries in
+    [-4, 4], and such digits never carry, so equal codes mean equal
+    weights."""
     out = []
     for label in alg.basis:
-        w = [0] * n
         if isinstance(label, Elem):
-            w[label.p - 1] = 1
-            w[label.q - 1] = -1
+            out.append(16 ** (label.p - 1) - 16 ** (label.q - 1))
+        elif isinstance(label, (DiagDiff, RawBasis)):
+            out.append(0)
         else:
-            assert isinstance(label, DiagDiff)
-        out.append(tuple(w))
+            raise InternalInvariant(f"unexpected basis label {label!r}")
     return out
 
 
-def _wsub(a: tuple, b: tuple) -> tuple:
-    if not a:
-        return a
-    return tuple(x - y for x, y in zip(a, b))
+def _weight_blocks(w: list[int], degree: int) -> dict[int, list[tuple]]:
+    """The basis cochains (inputs..., target) of C^degree, with sorted
+    inputs, grouped by their weight w[target] - sum of w[inputs]."""
+    blocks: dict[int, list[tuple]] = {}
+    for ins in combinations(range(len(w)), degree):
+        base = sum(w[i] for i in ins)
+        for t, wt in enumerate(w):
+            blocks.setdefault(wt - base, []).append((*ins, t))
+    return blocks
 
 
 def _blocked_rank(cols_by_w, rows_by_w, entry) -> int:
     total = 0
     for w, cols in cols_by_w.items():
         rows = rows_by_w.get(w)
-        if not rows:
-            continue
-        data = [[entry(rk, ck) for ck in cols] for rk in rows]
-        if any(any(row) for row in data):
-            total += RationalMatrix(data).rank()
+        if rows:
+            total += exact_rank([[entry(rk, ck) for ck in cols] for rk in rows])
     return total
 
 
@@ -62,158 +69,62 @@ def ce_cohomology_dims(alg: LieAlgebra, max_degree: int = 2) -> tuple[int, int, 
     dim = alg.dim
     if dim == 0:
         return (0, 0, 0)
+    # table[i][j][t]: coefficient of b_t in the integer table's [b_i, b_j]
+    table = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+    for (i, j), vec in alg.brackets.items():
+        for t, c in vec.items():
+            table[i][j][t] = c
+            table[j][i][t] = -c
     w = _basis_weights(alg)
-    zero = Fraction(0)
-
-    def bk(i, j, t):
-        return alg.bracket(i, j).get(t, zero)
+    c0, c1, c2, c3 = (_weight_blocks(w, k) for k in range(4))
 
     # d0: columns = basis elements, rows = (i, target)
-    cols0: dict[tuple, list] = {}
-    for m in range(dim):
-        cols0.setdefault(w[m], []).append(m)
-    rows1: dict[tuple, list] = {}
-    c1_keys = [(a, t) for a in range(dim) for t in range(dim)]
-    for a, t in c1_keys:
-        rows1.setdefault(_wsub(w[t], w[a]), []).append((a, t))
-
     def d0_entry(row, col):
         i, t = row
-        return bk(i, col, t)
+        return table[i][col[0]][t]
 
-    r0 = _blocked_rank(cols0, rows1, d0_entry)
+    r0 = _blocked_rank(c0, c1, d0_entry)
 
     # d1: columns = C^1 basis (a -> t), rows = (p < q, target)
-    pairs = list(combinations(range(dim), 2))
-    cols1 = rows1  # same keying
-    rows2: dict[tuple, list] = {}
-    for p, q in pairs:
-        base = tuple(-x - y for x, y in zip(w[p], w[q])) if w[p] else ()
-        for s in range(dim):
-            key = tuple(x + y for x, y in zip(base, w[s])) if base != () else ()
-            rows2.setdefault(key, []).append((p, q, s))
-
     def d1_entry(row, col):
         p, q, s = row
         a, t = col
-        val = zero
+        val = 0
         if q == a:
-            val += bk(p, t, s)
+            val += table[p][t][s]
         if p == a:
-            val -= bk(q, t, s)
+            val -= table[q][t][s]
         if s == t:
-            val -= bk(p, q, a)
+            val -= table[p][q][a]
         return val
 
-    r1 = _blocked_rank(cols1, rows2, d1_entry)
+    r1 = _blocked_rank(c1, c2, d1_entry)
 
     # d2: columns = C^2 basis ((a < b), t), rows = ((p < q < r), target)
-    cols2: dict[tuple, list] = {}
-    for a, b in pairs:
-        base = tuple(-x - y for x, y in zip(w[a], w[b])) if w[a] else ()
-        for t in range(dim):
-            key = tuple(x + y for x, y in zip(base, w[t])) if base != () else ()
-            cols2.setdefault(key, []).append((a, b, t))
-    rows3: dict[tuple, list] = {}
-    for p, q, r in combinations(range(dim), 3):
-        if w[p]:
-            base = tuple(-x - y - z for x, y, z in zip(w[p], w[q], w[r]))
-        else:
-            base = ()
-        for s in range(dim):
-            key = tuple(x + y for x, y in zip(base, w[s])) if base != () else ()
-            rows3.setdefault(key, []).append((p, q, r, s))
-
     def d2_entry(row, col):
         p, q, r, s = row
         a, b, t = col
-        val = zero
-        if (q, r) == (a, b):
-            val += bk(p, t, s)
-        if (p, r) == (a, b):
-            val -= bk(q, t, s)
-        if (p, q) == (a, b):
-            val += bk(r, t, s)
-        if s == t:
-            for u, v, x, sg in ((p, q, r, -1), (p, r, q, 1), (q, r, p, -1)):
-                if x == b:
-                    val += sg * bk(u, v, a)
-                elif x == a:
-                    val -= sg * bk(u, v, b)
-        return val
-
-    r2 = _blocked_rank(cols2, rows3, d2_entry)
-
-    c1 = dim * dim
-    c2 = dim * len(pairs)
-    h0 = dim - r0
-    h1 = c1 - r1 - r0
-    h2 = c2 - r2 - r1
-    return (h0, h1, h2)
-
-
-def ce_ranks_unblocked(alg: LieAlgebra) -> tuple[int, int, int]:
-    """Ranks of d0, d1, d2 computed without the weight-block decomposition
-    (an independent cross-check for small algebras)."""
-    dim = alg.dim
-    zero = Fraction(0)
-
-    def bk(i, j, t):
-        return alg.bracket(i, j).get(t, zero)
-
-    pairs = list(combinations(range(dim), 2))
-    triples = list(combinations(range(dim), 3))
-    c1 = [(a, t) for a in range(dim) for t in range(dim)]
-
-    d0 = [[bk(i, m, t) for m in range(dim)] for (i, t) in c1]
-
-    def d1_entry(row, col):
-        p, q, s = row
-        a, t = col
-        val = zero
-        if q == a:
-            val += bk(p, t, s)
+        val = 0
+        if q == a and r == b:
+            val += table[p][t][s]
         if p == a:
-            val -= bk(q, t, s)
-        if s == t:
-            val -= bk(p, q, a)
-        return val
-
-    d1 = [
-        [d1_entry((p, q, s), col) for col in c1]
-        for (p, q) in pairs
-        for s in range(dim)
-    ]
-
-    c2 = [(a, b, t) for (a, b) in pairs for t in range(dim)]
-
-    def d2_entry(row, col):
-        p, q, r, s = row
-        a, b, t = col
-        val = zero
-        if (q, r) == (a, b):
-            val += bk(p, t, s)
-        if (p, r) == (a, b):
-            val -= bk(q, t, s)
-        if (p, q) == (a, b):
-            val += bk(r, t, s)
+            if r == b:
+                val -= table[q][t][s]
+            elif q == b:
+                val += table[r][t][s]
         if s == t:
             for u, v, x, sg in ((p, q, r, -1), (p, r, q, 1), (q, r, p, -1)):
                 if x == b:
-                    val += sg * bk(u, v, a)
+                    val += sg * table[u][v][a]
                 elif x == a:
-                    val -= sg * bk(u, v, b)
+                    val -= sg * table[u][v][b]
         return val
 
-    d2 = [
-        [d2_entry((p, q, r, s), col) for col in c2]
-        for (p, q, r) in triples
-        for s in range(dim)
-    ]
+    r2 = _blocked_rank(c2, c3, d2_entry)
 
-    def rk(rows):
-        if not rows or not rows[0]:
-            return 0
-        return RationalMatrix(rows).rank()
-
-    return rk(d0), rk(d1), rk(d2)
+    n1 = dim * dim
+    n2 = dim * (dim * (dim - 1) // 2)
+    h0 = dim - r0
+    h1 = n1 - r1 - r0
+    h2 = n2 - r2 - r1
+    return (h0, h1, h2)

@@ -10,7 +10,7 @@ from itertools import combinations
 from typing import Iterable, Optional
 
 from .errors import HeightBound, MorseConditionViolated, OutOfRange, SizeBound
-from .linalg import RationalMatrix
+from .linalg import exact_rank
 from .posets import Poset, json_int
 
 BETTI_DIM_BOUND = 3
@@ -83,8 +83,8 @@ def order_complex(P: Poset) -> SimplicialComplex:
     return SimplicialComplex(chains)
 
 
-def boundary_matrix(K: SimplicialComplex, dim: int) -> RationalMatrix:
-    """The boundary map from dim-faces to (dim-1)-faces."""
+def boundary_matrix(K: SimplicialComplex, dim: int) -> list[list[int]]:
+    """The boundary map from dim-faces to (dim-1)-faces, as integer rows."""
     lower = {f: i for i, f in enumerate(K.faces(dim - 1))}
     upper = K.faces(dim)
     rows = [[0] * len(upper) for _ in lower]
@@ -92,7 +92,14 @@ def boundary_matrix(K: SimplicialComplex, dim: int) -> RationalMatrix:
         for drop in range(len(face)):
             sub = face[:drop] + face[drop + 1:]
             rows[lower[sub]][j] = (-1) ** drop
-    return RationalMatrix(rows) if lower and upper else RationalMatrix([])
+    return rows
+
+
+def check_homology_dimension(dim: int) -> None:
+    """SizeBound unless a complex of dimension `dim` is within the homology
+    guard; lets callers refuse an input before building its faces."""
+    if dim > BETTI_DIM_BOUND:
+        raise SizeBound(f"homology limited to dimension <= {BETTI_DIM_BOUND}")
 
 
 def betti_numbers(
@@ -101,14 +108,12 @@ def betti_numbers(
     """Exact Betti numbers over the rationals, degrees 0..dimension (or
     0..up_to).  The reduced variant subtracts the augmentation from b0."""
     top = K.dimension if up_to is None else min(K.dimension, up_to)
-    if min(K.dimension, top + 1) > BETTI_DIM_BOUND:
-        raise SizeBound(f"homology limited to dimension <= {BETTI_DIM_BOUND}")
+    check_homology_dimension(min(K.dimension, top + 1))
     counts = K.face_counts()
     ranks = [0] * (top + 2)  # ranks[k] = rank of boundary from k-faces
     for k in range(1, top + 2):
         if k <= K.dimension:
-            m = boundary_matrix(K, k)
-            ranks[k] = m.rank() if m.rows and m.cols else 0
+            ranks[k] = exact_rank(boundary_matrix(K, k))
     out = []
     for k in range(top + 1):
         fk = counts[k] if k < len(counts) else 0
@@ -169,12 +174,15 @@ def complex_to_json(K: SimplicialComplex) -> dict:
 
 def complex_from_json(data: dict) -> SimplicialComplex:
     """SimplicialComplex from {"faces": [[v, ...], ...]} with integer
-    vertices; malformed input raises OutOfRange."""
+    vertices; malformed input raises OutOfRange.  A face of more than
+    BETTI_DIM_BOUND + 1 vertices raises SizeBound before the closure builds
+    its 2^k - 1 subsets."""
     try:
         faces = data["faces"]
         if type(faces) is not list or any(type(face) is not list for face in faces):
             raise TypeError("faces must be a list of vertex lists")
-        faces = [tuple(json_int(v) for v in face) for face in faces]
+        faces = [set(json_int(v) for v in face) for face in faces]
     except (KeyError, TypeError) as exc:
         raise OutOfRange(f"malformed complex JSON: {exc}") from exc
+    check_homology_dimension(max(map(len, faces), default=0) - 1)
     return SimplicialComplex(faces)

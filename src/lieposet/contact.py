@@ -17,6 +17,7 @@ from typing import Optional
 from .errors import (
     Disconnected,
     HeightBound,
+    InternalInvariant,
     InvalidSequence,
     NotFrobenius,
     PolarityMismatch,
@@ -249,7 +250,8 @@ def apply_gluing(Q: Poset, step: GluingStep) -> GluingResult:
             if not extra <= succ[v]:
                 succ[v] |= extra
                 changed = True
-    assert all(v not in succ[v] for v in succ), "gluing produced a directed cycle"
+    if any(v in succ[v] for v in succ):
+        raise InternalInvariant("gluing produced a directed cycle")
 
     heights = {v: 0 for v in succ}
     changed = True
@@ -443,7 +445,8 @@ def contact_form_from_replay(rep: Replay) -> Functional:
     m = rep.roles[0]["m"]
     terms: dict[tuple[int, int], int] = {(m, m): 1}
     for pos in _form_pairs(rep):
-        assert pos not in terms, "duplicate contact-form term"
+        if pos in terms:
+            raise InternalInvariant("duplicate contact-form term")
         terms[pos] = 1
     return Functional.on_positions(terms)
 
@@ -454,7 +457,8 @@ def build_contact_form(seq: ContactSequence) -> Functional:
 
 
 def translate_functional(phi: Functional, mapping: dict[int, int]) -> Functional:
-    assert phi.kind == "positions"
+    if phi.kind != "positions":
+        raise InternalInvariant("only a form on matrix positions can be relabelled")
     return Functional.on_positions(
         {(mapping[i], mapping[j]): c for (i, j), c in phi.coeffs.items()}
     )
@@ -673,7 +677,8 @@ def _find_with_replay(P: Poset) -> Optional[FoundSequence]:
         return None
     replay, host_label = out
     mapped = {(host_label[a], host_label[b]) for a, b in P.pairs}
-    assert mapped == set(replay.poset.pairs), "replayed poset does not match"
+    if mapped != set(replay.poset.pairs):
+        raise InternalInvariant("replayed poset does not match")
     embedding = {lbl: v for v, lbl in host_label.items()}
     return FoundSequence(replay.sequence(), replay, embedding)
 
@@ -786,7 +791,8 @@ def classify_h2(P: Poset) -> Classification:
             ),
         )
     found = _find_with_replay(P)
-    assert found is not None, "classifier bullets hold but no sequence was found"
+    if found is None:
+        raise InternalInvariant("classifier bullets hold but no sequence was found")
     return Classification(True, sequence=found.sequence, found=found)
 
 
@@ -836,7 +842,8 @@ def is_contact(alg: LieAlgebra, trials: int = 3, seed: int = 0, bound: int = 10*
         cls = classify_h2(alg.origin)
         if cls.contact:
             phi = classifier_contact_form(alg.origin, cls, seed=seed)
-            assert verify_contact_form(alg, phi)
+            if not verify_contact_form(alg, phi):
+                raise InternalInvariant("classifier contact form has zero determinant")
             return _witness(phi)
         return ContactVerdict(
             "not-contact-certified", reason=cls.obstruction.message
@@ -883,7 +890,8 @@ def disconnected_contact_form(P1: Poset, P2: Poset, seed: int = 0, bound: int = 
             raise NotFrobenius(f"component {comp!r} is not Frobenius")
     S = disjoint_sum(P1, P2)
     alg = build_type_a(S)
-    assert alg.dim % 2 == 1
+    if alg.dim % 2 != 1:
+        raise InternalInvariant(f"sum of two Frobenius algebras has even dimension {alg.dim}")
     diag = _central_element_data(P1, P2)
     n = S.n
     rng = random.Random(seed)
@@ -908,7 +916,8 @@ def _disconnected_form_on(P: Poset, seed: int = 0) -> Functional:
     """Contact form on g_A(P) for a disconnected contact P, translated back
     to P's own labels."""
     comps = split_components(P)
-    assert len(comps) == 2
+    if len(comps) != 2:
+        raise InternalInvariant(f"disconnected contact poset has {len(comps)} components, not 2")
     (C1, map1), (C2, map2) = comps
     phi = disconnected_contact_form(C1, C2, seed=seed)
     # disjoint_sum(C1, C2) uses C1's labels then C2's shifted by |C1|

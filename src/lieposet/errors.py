@@ -87,3 +87,8 @@ class MorseConditionViolated(LiePosetError):
 
 class DiscrepancyFound(LiePosetError):
     """A cross-validation sweep found disagreeing oracles (build-stopping)."""
+
+
+class InternalInvariant(LiePosetError):
+    """A condition the package's own construction guarantees does not hold
+    (a bug, never bad input); raised, so that it survives `python -O`."""

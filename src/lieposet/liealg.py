@@ -17,13 +17,14 @@ from typing import Optional, Union
 from .errors import (
     EvenDimension,
     HeightBound,
+    InternalInvariant,
     JacobiViolation,
     OutOfRange,
     SizeBound,
     TooSmall,
 )
-from .linalg import Poly, RationalMatrix, rank_mod_p, symbolic_rank
-from .posets import Poset, extremal_data, interior_shape, is_forest, json_int, up_down
+from .linalg import Poly, RationalMatrix, rank_mod_p, sparse_kernel, symbolic_rank
+from .posets import Poset, _bits, extremal_data, interior_shape, is_forest, json_int, up_down
 
 SYMBOLIC_INDEX_BOUND = 8
 JACOBI_CHECK_BOUND = 30
@@ -66,49 +67,55 @@ BasisLabel = Union[DiagDiff, Elem, RawBasis]
 class LieAlgebra:
     """A Lie algebra given by an ordered basis and its bracket table.
 
-    brackets maps (i, j) with i < j (0-based basis indices) to the sparse
-    coordinate vector of [b_i, b_j]; missing pairs commute.
+    The structure constants are stored as one integer table over one
+    positive denominator d: brackets maps (i, j) with i < j (0-based basis
+    indices) to the sparse vector of nonzero ints d [b_i, b_j]; missing
+    pairs commute.  d is the lcm of the constants' denominators, so it is 1
+    for every poset algebra.  Scaling the bracket by d gives an isomorphic
+    algebra (b -> b / d) and scales every Kirillov matrix and every
+    Chevalley-Eilenberg differential by d, so ranks, kernels and
+    nonsingularity are read off the integer table; bracket() gives the
+    constants themselves.  `build_type_a` and `build_raw` build the table.
     """
 
-    __slots__ = ("dim", "basis", "brackets", "origin")
+    __slots__ = ("dim", "basis", "brackets", "denominator", "origin")
 
-    def __init__(self, basis, brackets, origin: Optional[Poset] = None):
+    def __init__(self, basis, brackets, origin: Optional[Poset] = None, denominator: int = 1):
         self.basis = tuple(basis)
         self.dim = len(self.basis)
-        self.brackets = {
-            k: {t: Fraction(c) for t, c in v.items() if c}
-            for k, v in brackets.items()
-            if any(v.values())
-        }
+        self.brackets = brackets
+        self.denominator = denominator
         self.origin = origin
 
-    def bracket(self, i: int, j: int) -> dict[int, Fraction]:
+    def bracket(self, i: int, j: int) -> dict[int, Union[int, Fraction]]:
         """Sparse coordinates of [b_i, b_j] over the basis."""
         if i == j:
             return {}
-        if i < j:
-            return self.brackets.get((i, j), {})
-        return {t: -c for t, c in self.brackets.get((j, i), {}).items()}
+        vec = self.brackets.get((i, j) if i < j else (j, i), {})
+        d = self.denominator
+        if d != 1:
+            vec = {t: Fraction(c, d) for t, c in vec.items()}
+        return vec if i < j else {t: -c for t, c in vec.items()}
 
     def bracket_coords(self, coords: dict[int, Fraction], j: int) -> dict[int, Fraction]:
         """[sum_k coords[k] b_k, b_j] as sparse coordinates."""
         out: dict[int, Fraction] = {}
         for k, ck in coords.items():
             for t, c in self.bracket(k, j).items():
-                v = out.get(t, Fraction(0)) + ck * c
+                v = out.get(t, 0) + ck * c
                 if v:
                     out[t] = v
                 else:
                     out.pop(t, None)
         return out
 
-    def matrix_entries(self, k: int) -> dict[tuple[int, int], Fraction]:
+    def matrix_entries(self, k: int) -> dict[tuple[int, int], int]:
         """Matrix of the k-th basis element as a sparse (row, col) -> value map."""
         label = self.basis[k]
         if isinstance(label, DiagDiff):
-            return {(1, 1): Fraction(1), (label.p, label.p): Fraction(-1)}
+            return {(1, 1): 1, (label.p, label.p): -1}
         if isinstance(label, Elem):
-            return {(label.p, label.q): Fraction(1)}
+            return {(label.p, label.q): 1}
         raise TypeError("raw algebras have no matrix realization")
 
     @property
@@ -133,7 +140,7 @@ def _jacobi_witness(alg: LieAlgebra):
                     alg.bracket_coords(alg.bracket(k, i), j),
                 ):
                     for t, c in term.items():
-                        acc[t] = acc.get(t, Fraction(0)) + c
+                        acc[t] = acc.get(t, 0) + c
                 if any(acc.values()):
                     return (i + 1, j + 1, k + 1)
     return None
@@ -144,47 +151,24 @@ def build_type_a(P: Poset) -> LieAlgebra:
     under the commutator bracket."""
     if P.n < 2:
         raise TooSmall("need at least two elements for a trace-zero algebra")
-    n = P.n
-    basis: list[BasisLabel] = [DiagDiff(p) for p in range(2, n + 1)]
-    rel = list(P.pairs)
-    basis.extend(Elem(p, q) for p, q in rel)
-    idx = {lbl: k for k, lbl in enumerate(basis)}
-
-    def diag_coords(p: int, q: int) -> dict[int, Fraction]:
-        # E_{p,p} - E_{q,q} over the DiagDiff part (valid: trace zero)
-        out: dict[int, Fraction] = {}
-        if q != 1:
-            out[idx[DiagDiff(q)]] = Fraction(1)
-        if p != 1:
-            out[idx[DiagDiff(p)]] = out.get(idx[DiagDiff(p)], Fraction(0)) - 1
-        return {k: c for k, c in out.items() if c}
-
-    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    ndiag = n - 1
+    ndiag = P.n - 1
+    pos = {pair: ndiag + b for b, pair in enumerate(P.pairs)}
+    basis: list[BasisLabel] = [DiagDiff(p) for p in range(2, P.n + 1)]
+    basis.extend(Elem(p, q) for p, q in P.pairs)
+    brackets: dict[tuple[int, int], dict[int, int]] = {}
     # [D_{1,p}, E_{q,r}] = ([q==1] - [p==q] + [p==r]) E_{q,r}
     for a in range(ndiag):
-        p = basis[a].p
-        for b, (q, r) in enumerate(rel):
-            c = (1 if q == 1 else 0) - (1 if p == q else 0) + (1 if p == r else 0)
+        p = a + 2
+        for (q, r), b in pos.items():
+            c = (q == 1) - (p == q) + (p == r)
             if c:
-                brackets[(a, ndiag + b)] = {ndiag + b: Fraction(c)}
-    # [E_{p,q}, E_{r,s}] = d_{qr} E_{p,s} - d_{sp} E_{r,q}
-    for a in range(len(rel)):
-        p, q = rel[a]
-        for b in range(a + 1, len(rel)):
-            r, s = rel[b]
-            out: dict[int, Fraction] = {}
-            if q == r and s == p:
-                out = diag_coords(p, q)
-            else:
-                if q == r:
-                    out[idx[Elem(p, s)]] = Fraction(1)
-                if s == p:
-                    t = idx[Elem(r, q)]
-                    out[t] = out.get(t, Fraction(0)) - 1
-            out = {k: c for k, c in out.items() if c}
-            if out:
-                brackets[(ndiag + a, ndiag + b)] = out
+                brackets[(a, b)] = {b: c}
+    # [E_{p,q}, E_{r,s}] = d_{qr} E_{p,s} - d_{sp} E_{r,q}.  Relations are
+    # sorted and raise labels, so a later E_{r,s} never has s == p: the
+    # bracket is E_{p,s} exactly when r == q, and (p, s) is a relation.
+    for (p, q), a in pos.items():
+        for s in _bits(P.succ[q - 1]):
+            brackets[(a, pos[(q, s)])] = {pos[(p, s)]: 1}
     return LieAlgebra(basis, brackets, origin=P)
 
 
@@ -213,7 +197,9 @@ def build_raw(dim: int, brackets) -> LieAlgebra:
                 (i, j, j), f"inconsistent antisymmetric entries for [e{i}, e{j}]"
             )
         table[key] = vec
-    alg = LieAlgebra([RawBasis(i) for i in range(1, dim + 1)], table)
+    d = lcm(*(c.denominator for vec in table.values() for c in vec.values()))
+    ints = {k: {t: int(c * d) for t, c in vec.items()} for k, vec in table.items() if vec}
+    alg = LieAlgebra([RawBasis(i) for i in range(1, dim + 1)], ints, denominator=d)
     if dim <= JACOBI_CHECK_BOUND:
         witness = _jacobi_witness(alg)
         if witness:
@@ -247,14 +233,16 @@ def raw_from_json(data: dict) -> LieAlgebra:
 class Functional:
     """A linear one-form, stored either on matrix-entry duals E*_{i,j}
     (poset algebras) or on basis duals (raw algebras).  Missing positions
-    read as zero."""
+    read as zero; int coefficients stay ints, others become Fractions."""
 
     __slots__ = ("kind", "coeffs")
 
     def __init__(self, kind: str, coeffs: dict):
-        assert kind in ("positions", "basis")
+        if kind not in ("positions", "basis"):
+            raise InternalInvariant(f"unknown functional kind {kind!r}")
         self.kind = kind
-        self.coeffs = {k: Fraction(v) for k, v in coeffs.items() if Fraction(v)}
+        coeffs = {k: v if type(v) is int else Fraction(v) for k, v in coeffs.items()}
+        self.coeffs = {k: v for k, v in coeffs.items() if v}
 
     @classmethod
     def on_positions(cls, coeffs: dict[tuple[int, int], object]) -> "Functional":
@@ -269,15 +257,18 @@ class Functional:
     def zero(cls) -> "Functional":
         return cls("positions", {})
 
-    def value_on_basis(self, alg: LieAlgebra, k: int) -> Fraction:
+    def value_on_basis(self, alg: LieAlgebra, k: int) -> Union[int, Fraction]:
+        get = self.coeffs.get
         if self.kind == "basis":
-            return self.coeffs.get(k + 1, Fraction(0))
-        total = Fraction(0)
-        for pos, c in alg.matrix_entries(k).items():
-            total += c * self.coeffs.get(pos, Fraction(0))
-        return total
+            return get(k + 1, 0)
+        label = alg.basis[k]
+        if isinstance(label, DiagDiff):
+            return get((1, 1), 0) - get((label.p, label.p), 0)
+        if isinstance(label, Elem):
+            return get((label.p, label.q), 0)
+        raise TypeError("raw algebras have no matrix realization")
 
-    def values(self, alg: LieAlgebra) -> list[Fraction]:
+    def values(self, alg: LieAlgebra) -> list[Union[int, Fraction]]:
         return [self.value_on_basis(alg, k) for k in range(alg.dim)]
 
     def value_on_coords(self, alg: LieAlgebra, coords: dict[int, Fraction]) -> Fraction:
@@ -324,21 +315,21 @@ def kirillov_rows(
     phi's values (top row (0, phi), left column (0, -phi)); the bordered
     matrix is defined only in odd dimension.
 
-    phi's values are cleared by the lcm of their denominators and the
-    structure constants by the lcm of theirs; the border is multiplied by
-    the constants' lcm, so that one s fits every entry.  A uniform positive
-    scale leaves rank and nonsingularity unchanged."""
+    phi's values are cleared by the lcm of their denominators, and the
+    entries are taken on the algebra's integer table; the border is
+    multiplied by the table's denominator, so that one s fits every entry.
+    A uniform positive scale leaves rank and nonsingularity unchanged."""
     if bordered and alg.dim % 2 == 0:
         raise EvenDimension(f"dimension {alg.dim} is even")
     vals = phi.values(alg)
     dv = lcm(*(v.denominator for v in vals))
     ivals = [v.numerator * (dv // v.denominator) for v in vals]
-    dc = lcm(*(c.denominator for vec in alg.brackets.values() for c in vec.values()))
+    dc = alg.denominator
     off = 1 if bordered else 0
     size = alg.dim + off
     rows = [[0] * size for _ in range(size)]
     for (i, j), vec in alg.brackets.items():
-        e = sum(c.numerator * (dc // c.denominator) * ivals[t] for t, c in vec.items())
+        e = sum(c * ivals[t] for t, c in vec.items())
         rows[i + off][j + off] = e
         rows[j + off][i + off] = -e
     if bordered:
@@ -364,6 +355,10 @@ def extended_matrix(alg: LieAlgebra, phi: Functional) -> RationalMatrix:
 def symbolic_kirillov(alg: LieAlgebra, bordered: bool = False) -> tuple[list[list[Poly]], list]:
     """Kirillov matrix with one polynomial variable per dual coefficient,
     bordered by the generic form's values when `bordered` is set.
+
+    The entries are taken on the integer table, so the body is the
+    denominator times the Kirillov matrix; neither its rank nor whether the
+    bordered Pfaffian vanishes depends on that scale.
 
     Returns (matrix, ordered dual keys).
     """
@@ -496,19 +491,13 @@ def is_frobenius_h2(P: Poset) -> bool:
 def center(alg: LieAlgebra) -> list[tuple[Fraction, ...]]:
     """Basis of the center, as coordinate vectors over the algebra basis,
     by exact nullspace computation of [z, b_i] = 0 for all i."""
-    if alg.dim == 0:
-        return []
-    rows: dict[tuple[int, int], list[Fraction]] = {}
+    rows: dict[tuple[int, int], dict[int, int]] = {}
     for (i, j), vec in alg.brackets.items():
         # column k = coefficient of b_t in [b_k, b_j]-type equations:
-        # equation rows are indexed by (other basis element, target)
+        # equation rows are indexed by (other basis element, target), and
+        # each (row, column) is reached by one bracket only; the integer
+        # table's scale leaves the kernel unchanged
         for t, c in vec.items():
-            rows.setdefault((j, t), [Fraction(0)] * alg.dim)[i] += c
-            rows.setdefault((i, t), [Fraction(0)] * alg.dim)[j] -= c
-    if not rows:
-        return [
-            tuple(Fraction(1) if k == m else Fraction(0) for k in range(alg.dim))
-            for m in range(alg.dim)
-        ]
-    mat = RationalMatrix([rows[k] for k in sorted(rows)])
-    return mat.kernel()
+            rows.setdefault((j, t), {})[i] = c
+            rows.setdefault((i, t), {})[j] = -c
+    return sparse_kernel([rows[k] for k in sorted(rows)], alg.dim)

@@ -1,10 +1,15 @@
 """Exact linear algebra over the rationals, plus a small multivariate
 polynomial ring for symbolic rank and Pfaffian certificates.
 
-Determinants and ranks go through fraction-free Bareiss elimination on
-integerized rows; `nonsingular` and `rank_at_least` on integer rows try the
-rank modulo a prime first and fall back to Bareiss.  Kernels use sparse
-rational Gauss-Jordan; Pfaffians use skew congruence elimination, with a
+The exact core works on integer rows: `exact_rank` is fraction-free Bareiss
+elimination on them, and `nonsingular` and `rank_at_least` try the rank
+modulo a prime first and fall back to `exact_rank`.  Every structure
+constant of a poset algebra is an integer, so the callers in `liealg`,
+`cohomology` and `complexes` hand their integer rows straight to it, with
+no Fraction round trip.  `RationalMatrix` clears each row's denominators
+and runs the same elimination for its rank and determinant.  Kernels use
+sparse rational Gauss-Jordan (`sparse_kernel`, on rows of ints or
+Fractions); Pfaffians use skew congruence elimination, with a
 division-free expansion kept as an independent oracle.
 """
 
@@ -56,9 +61,6 @@ class RationalMatrix:
     def __repr__(self):
         return f"RationalMatrix({[list(map(str, r)) for r in self.data]})"
 
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(list(zip(*self.data))) if self.rows else self
-
     def is_skew_symmetric(self) -> bool:
         if self.rows != self.cols:
             return False
@@ -90,8 +92,7 @@ class RationalMatrix:
     # -- elimination ---------------------------------------------------------
 
     def rank(self) -> int:
-        rows, _ = self._int_rows()
-        return _bareiss_echelon(rows)[0]
+        return exact_rank(self._int_rows()[0])
 
     def determinant(self) -> Fraction:
         if self.rows != self.cols:
@@ -108,46 +109,9 @@ class RationalMatrix:
         return det
 
     def kernel(self) -> list[tuple[Fraction, ...]]:
-        """A basis of the right kernel, one vector per free column, with the
-        free coordinate set to 1 (deterministic order).
-
-        Sparse Gauss-Jordan: rows are dicts of their nonzero entries, and
-        each pivot column is cleared only from the rows that hold it.  The
-        reduced row echelon form is unique, so the sparsest candidate row
-        can serve as the pivot without changing the basis."""
+        """A basis of the right kernel, as `sparse_kernel` gives it."""
         rows = [{j: x for j, x in enumerate(row) if x} for row in self.data]
-        free = set(range(len(rows)))  # rows not yet used as a pivot
-        pivot_row: dict[int, dict[int, Fraction]] = {}  # column -> reduced row
-        for c in range(self.cols):
-            holders = [i for i, row in enumerate(rows) if c in row]
-            candidates = [i for i in holders if i in free]
-            if not candidates:
-                continue
-            p = min(candidates, key=lambda i: len(rows[i]))
-            free.discard(p)
-            inv = 1 / rows[p][c]
-            piv = rows[p] = {j: x * inv for j, x in rows[p].items()}
-            for i in holders:
-                if i == p:
-                    continue
-                row, f = rows[i], rows[i][c]
-                for j, x in piv.items():
-                    v = row.get(j, 0) - f * x
-                    if v:
-                        row[j] = v
-                    else:
-                        del row[j]
-            pivot_row[c] = piv
-        basis = []
-        for fc in range(self.cols):
-            if fc in pivot_row:
-                continue
-            v = [Fraction(0)] * self.cols
-            v[fc] = Fraction(1)
-            for pc, piv in pivot_row.items():
-                v[pc] = -piv.get(fc, Fraction(0))
-            basis.append(tuple(v))
-        return basis
+        return sparse_kernel(rows, self.cols)
 
     def pfaffian(self) -> Fraction:
         """Pfaffian of a skew-symmetric matrix of even size, by congruence
@@ -200,17 +164,68 @@ class RationalMatrix:
         return cls(rows)
 
 
+def sparse_kernel(rows: list[dict[int, object]], ncols: int) -> list[tuple[Fraction, ...]]:
+    """A basis of the right kernel of the matrix whose rows are given as
+    dicts of their nonzero entries (ints or Fractions; consumed), one
+    vector per free column, with the free coordinate set to 1
+    (deterministic order).
+
+    Sparse Gauss-Jordan: each pivot column is cleared only from the rows
+    that hold it.  The reduced row echelon form is unique, so the sparsest
+    candidate row can serve as the pivot without changing the basis."""
+    free = set(range(len(rows)))  # rows not yet used as a pivot
+    pivot_row: dict[int, dict[int, Fraction]] = {}  # column -> reduced row
+    for c in range(ncols):
+        holders = [i for i, row in enumerate(rows) if c in row]
+        candidates = [i for i in holders if i in free]
+        if not candidates:
+            continue
+        p = min(candidates, key=lambda i: len(rows[i]))
+        free.discard(p)
+        inv = Fraction(1, rows[p][c])
+        piv = rows[p] = {j: x * inv for j, x in rows[p].items()}
+        for i in holders:
+            if i == p:
+                continue
+            row, f = rows[i], rows[i][c]
+            for j, x in piv.items():
+                v = row.get(j, 0) - f * x
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+        pivot_row[c] = piv
+    basis = []
+    for fc in range(ncols):
+        if fc in pivot_row:
+            continue
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for pc, piv in pivot_row.items():
+            v[pc] = -piv.get(fc, Fraction(0))
+        basis.append(tuple(v))
+    return basis
+
+
 def _bareiss_echelon(rows: list[list[int]]) -> tuple[int, int, int]:
     """Fraction-free Bareiss elimination on integer rows, in place.
 
-    Returns (rank, swap sign, last pivot value).
+    Returns (rank, swap sign, last pivot value).  A row with a zero in the
+    pivot column is left as it is: Bareiss would only multiply it by
+    pivot / previous pivot, and over consecutive steps those factors
+    telescope.  So each row keeps the pivot of the step that last updated
+    it (`stamp`), and stands for itself times current pivot / stamp.  Its
+    next update, (pc * row - ric * pivot row) / stamp, is then the Bareiss
+    row exactly, and a row is brought up to date before it serves as a
+    pivot.  Below the pivot row every entry left of the pivot column is
+    zero, so each update runs over the whole row.
     """
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
+    stamp = [1] * nrows
     prev = 1
     sign = 1
     r = 0
-    last = 1
     for c in range(ncols):
         if r == nrows:
             break
@@ -219,18 +234,20 @@ def _bareiss_echelon(rows: list[list[int]]) -> tuple[int, int, int]:
             continue
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
+            stamp[r], stamp[piv] = stamp[piv], stamp[r]
             sign = -sign
-        pc = rows[r][c]
+        if stamp[r] != prev:
+            rows[r] = [a * prev // stamp[r] for a in rows[r]]
+        row_r = rows[r]
+        pc = row_r[c]
         for i in range(r + 1, nrows):
             ric = rows[i][c]
-            row_i, row_r = rows[i], rows[r]
-            for j in range(c + 1, ncols):
-                row_i[j] = (pc * row_i[j] - ric * row_r[j]) // prev
-            row_i[c] = 0
+            if ric:
+                rows[i] = [(pc * a - ric * b) // stamp[i] for a, b in zip(rows[i], row_r)]
+                stamp[i] = pc
         prev = pc
-        last = pc
         r += 1
-    return r, sign, last
+    return r, sign, prev
 
 
 _MODP_PRIME = 2147483629  # < 2^31, so products stay inside int64
@@ -271,15 +288,22 @@ def rank_mod_p(int_rows: list[list[int]], p: int = _MODP_PRIME) -> int:
     return r
 
 
+def exact_rank(int_rows: list[list[int]]) -> int:
+    """Rank over Q of an integer matrix, by fraction-free Bareiss
+    elimination on a copy of its rows.  All-zero rows are dropped first;
+    they cannot hold a pivot."""
+    return _bareiss_echelon([list(row) for row in int_rows if any(row)])[0]
+
+
 def nonsingular(int_rows: list[list[int]]) -> bool:
     """det != 0 for a square integer matrix.  A full rank modulo p decides
-    at once; otherwise exact Bareiss elimination decides."""
+    at once; otherwise `exact_rank` decides."""
     n = len(int_rows)
     if any(len(row) != n for row in int_rows):
         raise ShapeMismatch("nonsingularity needs a square matrix")
     if rank_mod_p(int_rows) == n:
         return True
-    return RationalMatrix(int_rows).determinant() != 0
+    return exact_rank(int_rows) == n
 
 
 def rank_at_least(int_rows: list[list[int]], k: int) -> bool:
@@ -287,7 +311,7 @@ def rank_at_least(int_rows: list[list[int]], k: int) -> bool:
     exact fallback as `nonsingular`."""
     if rank_mod_p(int_rows) >= k:
         return True
-    return RationalMatrix(int_rows).rank() >= k
+    return exact_rank(int_rows) >= k
 
 
 def pfaffian_expansion(mat, zero, is_zero=None):

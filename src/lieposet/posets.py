@@ -16,6 +16,7 @@ from typing import Iterator, Optional
 
 from .errors import (
     HeightBound,
+    InternalInvariant,
     LabelOrderViolation,
     NotInterior,
     OutOfRange,
@@ -67,7 +68,8 @@ class Poset:
     succ: tuple[int, ...]  # succ[i-1] bit (j-1) set  <=>  i strictly below j
 
     def __post_init__(self):
-        assert len(self.succ) == self.n
+        if len(self.succ) != self.n:
+            raise InternalInvariant(f"{len(self.succ)} successor masks for n = {self.n}")
 
     # -- raw views ---------------------------------------------------------
 

@@ -110,6 +110,72 @@ def sympy_nullspace(rows) -> list[tuple[Fraction, ...]]:
     return [tuple(Fraction(str(x)) for x in v) for v in basis]
 
 
+def ce_ranks_sympy(g) -> tuple[int, int, int]:
+    """Ranks of d0, d1, d2 of the adjoint Chevalley-Eilenberg complex,
+    assembled from bracket() alone by the general formula
+
+        (d f)(x_0..x_k) = sum_i (-1)^i [x_i, f(..no x_i..)]
+                          + sum_{i<j} (-1)^(i+j) f([x_i, x_j], ..no x_i, x_j..)
+
+    (for k = 1: d f(x, y) = [x, f(y)] - [y, f(x)] - f([x, y])), one sympy
+    column per basis cochain e_{S -> t} and one row per (T, s) with
+    |T| = k + 1, ranked by sympy's sparse elimination over QQ.  Shares no
+    code with the weight-blocked assembly in `cohomology`."""
+    from itertools import combinations
+
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+
+    n = g.dim
+
+    def ad(x: int, v: dict) -> dict:
+        # [b_x, v] for a coordinate vector v
+        out: dict = {}
+        for m, c in v.items():
+            for t, e in g.bracket(x, m).items():
+                out[t] = out.get(t, 0) + c * e
+        return out
+
+    def f_on(S: tuple, t: int, args: tuple) -> dict:
+        # e_{S -> t} on basis elements: the sign of the sorting permutation
+        if len(set(args)) < len(args) or tuple(sorted(args)) != S:
+            return {}
+        inversions = sum(a > b for i, a in enumerate(args) for b in args[i + 1:])
+        return {t: (-1) ** inversions}
+
+    def f_lin(S: tuple, t: int, first: dict, rest: tuple) -> dict:
+        # e_{S -> t}(sum_m first[m] b_m, rest...)
+        out: dict = {}
+        for m, c in first.items():
+            for s, e in f_on(S, t, (m, *rest)).items():
+                out[s] = out.get(s, 0) + c * e
+        return out
+
+    def d_matrix(k: int):
+        cols = [(S, t) for S in combinations(range(n), k) for t in range(n)]
+        tuples = list(combinations(range(n), k + 1))
+        entries: dict = {}
+        for j, (S, t) in enumerate(cols):
+            for a, T in enumerate(tuples):
+                acc: dict = {}
+                for i, x in enumerate(T):
+                    term = ad(x, f_on(S, t, T[:i] + T[i + 1:]))
+                    for s, c in term.items():
+                        acc[s] = acc.get(s, 0) + (-1) ** i * c
+                for i, j2 in combinations(range(k + 1), 2):
+                    rest = tuple(y for m, y in enumerate(T) if m not in (i, j2))
+                    term = f_lin(S, t, g.bracket(T[i], T[j2]), rest)
+                    for s, c in term.items():
+                        acc[s] = acc.get(s, 0) + (-1) ** (i + j2) * c
+                for s, c in acc.items():
+                    if c:
+                        c = Fraction(c)
+                        entries.setdefault(a * n + s, {})[j] = QQ(c.numerator, c.denominator)
+        return DomainMatrix(entries, (len(tuples) * n, len(cols)), QQ)
+
+    return tuple(d_matrix(k).rank() for k in range(3))
+
+
 def grow_h2_poset(rng: random.Random, min_n: int, contact: bool) -> Poset:
     """A connected height-two poset of at least min_n elements, glued from
     random blocks by a replay: with contact=True only contact rules and the

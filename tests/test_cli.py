@@ -280,6 +280,27 @@ class TestHomology:
         assert code == 4
 
     @pytest.mark.parametrize(
+        "data",
+        [
+            {"faces": [list(range(1, 41))]},
+            {"n": 40, "relations": [[i, i + 1] for i in range(1, 40)]},
+        ],
+    )
+    def test_size_bound_before_closing(self, capsys, tmp_path, data):
+        # a 39-simplex, and the order complex of a 40-chain: each has about
+        # 2^40 faces, so the guard must fire before any of them is built
+        path = write_json(tmp_path, "big.json", data)
+        code, out = run_cli(capsys, "homology", path)
+        assert code == 4
+        assert json.loads(out)["error"]["type"] == "SizeBound"
+
+    def test_largest_face_within_bound(self, capsys, tmp_path):
+        path = write_json(tmp_path, "k.json", {"faces": [[1, 2, 3, 4, 4]]})
+        code, out = run_cli(capsys, "homology", path)
+        assert code == 0
+        assert json.loads(out)["face_counts"] == [4, 6, 4, 1]
+
+    @pytest.mark.parametrize(
         "data", [{"faces": 5}, {"faces": [5]}, {"faces": [[1, "a"]]}, {"faces": [[1, True]]}]
     )
     def test_malformed_complex_exits_two(self, capsys, tmp_path, data):

@@ -1,6 +1,9 @@
+from fractions import Fraction
+
 import pytest
 
-from lieposet.cohomology import ce_cohomology_dims, ce_ranks_unblocked
+from conftest import ce_ranks_sympy
+from lieposet.cohomology import ce_cohomology_dims
 from lieposet.complexes import betti_numbers, order_complex
 from lieposet.errors import SizeBound
 from lieposet.liealg import build_raw, build_type_a, center
@@ -46,6 +49,11 @@ class TestSmallCases:
             ce_cohomology_dims(build_type_a(chain6))
 
 
+def dims_from_ranks(dim, ranks):
+    r0, r1, r2 = ranks
+    return (dim - r0, dim * dim - r1 - r0, dim * (dim * (dim - 1) // 2) - r2 - r1)
+
+
 class TestWeightBlocking:
     @pytest.mark.parametrize(
         "rel",
@@ -59,15 +67,26 @@ class TestWeightBlocking:
         ],
     )
     def test_blocked_ranks_match_unblocked(self, rel):
+        # the sympy oracle assembles each differential from bracket() alone
         n = max((max(p) for p in rel), default=2)
         P = make_poset(max(n, 2), rel)
         g = build_type_a(P)
-        r0, r1, r2 = ce_ranks_unblocked(g)
-        dim = g.dim
-        c1 = dim * dim
-        c2 = dim * (dim * (dim - 1) // 2)
-        expected = (dim - r0, c1 - r1 - r0, c2 - r2 - r1)
-        assert ce_cohomology_dims(g) == expected
+        assert ce_cohomology_dims(g) == dims_from_ranks(g.dim, ce_ranks_sympy(g))
+
+    def test_halved_brackets_match_oracle(self):
+        # denominator 2: the integer table is twice the bracket, which must
+        # not move any rank; one weight block, since raw algebras carry none
+        g = build_type_a(make_poset(3, [(1, 2), (2, 3)]))
+        halved = build_raw(
+            g.dim,
+            [
+                (i + 1, j + 1, {t + 1: Fraction(c, 2) for t, c in vec.items()})
+                for (i, j), vec in g.brackets.items()
+            ],
+        )
+        assert halved.denominator == 2
+        expected = dims_from_ranks(halved.dim, ce_ranks_sympy(halved))
+        assert ce_cohomology_dims(halved) == ce_cohomology_dims(g) == expected
 
 
 class TestDecompositionIdentity:

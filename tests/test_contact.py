@@ -41,6 +41,7 @@ from lieposet.errors import (
 from lieposet.liealg import (
     Functional,
     build_type_a,
+    extended_matrix,
     index_formula_h2,
     random_functional,
 )
@@ -504,6 +505,16 @@ class TestReplayInvariants:
     def test_every_generated_state_verifies(self):
         for rep in generate_contact_replays(3):
             assert verify_replay(rep)
+
+    def test_bordered_determinant_is_square_of_rank(self):
+        # det of the bordered Kirillov matrix of the recursive contact form
+        # is exactly (|P| - 1)^2 on every state; pins the exact scale
+        states = list(generate_contact_replays(3))
+        assert len(states) == 231
+        for rep in states:
+            alg = build_type_a(rep.poset)
+            det = extended_matrix(alg, contact_form_from_replay(rep)).determinant()
+            assert det == (rep.poset.n - 1) ** 2, rep.steps
 
     def test_generated_states_are_connected_height_two_or_less(self):
         for rep in generate_contact_replays(3):

@@ -57,6 +57,42 @@ class TestBuildTypeA:
                 rhs = {t: -c for t, c in g.bracket(j, i).items()}
                 assert lhs == rhs
 
+    def test_brackets_are_matrix_commutators(self):
+        # every bracket against X Y - Y X of the basis matrices, read back
+        # in the basis: E_{p,q} by its entry, D(1,p) by minus the (p, p)
+        # entry, with the trace-zero check on (1, 1)
+        def matrix(label):
+            if isinstance(label, DiagDiff):
+                return {(1, 1): 1, (label.p, label.p): -1}
+            return {(label.p, label.q): 1}
+
+        def product(X, Y):
+            out = {}
+            for (i, k), x in X.items():
+                for (k2, j), y in Y.items():
+                    if k == k2:
+                        out[(i, j)] = out.get((i, j), 0) + x * y
+            return out
+
+        for n in range(2, 6):
+            for P in enumerate_posets(n):
+                g = build_type_a(P)
+                where = {lbl: k for k, lbl in enumerate(g.basis)}
+                for i in range(g.dim):
+                    for j in range(g.dim):
+                        X, Y = matrix(g.basis[i]), matrix(g.basis[j])
+                        C = product(X, Y)
+                        for key, v in product(Y, X).items():
+                            C[key] = C.get(key, 0) - v
+                        coords = {}
+                        for (a, b), v in C.items():
+                            if v and a != b:
+                                coords[where[Elem(a, b)]] = v
+                            elif v and a != 1:
+                                coords[where[DiagDiff(a)]] = -v
+                        assert C.get((1, 1), 0) == -sum(C.get((p, p), 0) for p in range(2, n + 1))
+                        assert g.bracket(i, j) == coords, (P, i, j)
+
     @pytest.mark.parametrize("ranks", [[1, 1, 1], [1, 1, 2], [2, 1, 1], [2, 1, 2]])
     def test_jacobi_holds_for_poset_algebras(self, ranks):
         assert _jacobi_witness(build_type_a(complete_poset(ranks))) is None
@@ -248,7 +284,9 @@ class TestIndex:
                 for (i, j), vec in g.brackets.items()
             ],
         )
-        assert any(c.denominator == 2 for vec in halved.brackets.values() for c in vec.values())
+        assert halved.denominator == 2
+        constants = [c for i, j in halved.brackets for c in halved.bracket(i, j).values()]
+        assert any(c.denominator == 2 for c in constants)
         assert index(halved, seed=4).value == index(g, seed=4).value == index_formula_h2(P)
 
 

@@ -14,6 +14,7 @@ from lieposet.errors import ShapeMismatch
 from lieposet.linalg import (
     Poly,
     RationalMatrix,
+    exact_rank,
     nonsingular,
     pfaffian_expansion,
     rank_at_least,
@@ -65,6 +66,22 @@ class TestRankDetPfaffian:
                 ours = RationalMatrix(rows).pfaffian()
                 from_exp = pfaffian_expansion(rows, Fraction(0))
                 assert ours == from_exp
+
+    def test_sparse_integer_rank_and_determinant(self):
+        # sparse rows keep zeros in many pivot columns, so rows wait several
+        # steps before their next update: the deferred Bareiss scaling path
+        import sympy
+
+        rng = random.Random(12)
+        for _ in range(200):
+            n, m = rng.randint(1, 7), rng.randint(1, 7)
+            rows = [
+                [rng.choice((-3, -1, 1, 2, 5)) if rng.random() < 0.3 else 0 for _ in range(m)]
+                for _ in range(n)
+            ]
+            assert exact_rank(rows) == sympy.Matrix(rows).rank(), rows
+            if n == m:
+                assert RationalMatrix(rows).determinant() == det_by_cofactors(rows), rows
 
     def test_rank_of_rectangular(self):
         m = RationalMatrix([[1, 2, 3], [2, 4, 6]])

@@ -1,7 +1,13 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import lieposet
 
 from conftest import (
     brute_force_class_count,
@@ -10,6 +16,7 @@ from conftest import (
 )
 from lieposet.errors import (
     HeightBound,
+    InternalInvariant,
     LabelOrderViolation,
     NotInterior,
     OutOfRange,
@@ -60,6 +67,22 @@ class TestMakePoset:
             make_poset(3, [(2, 1)])
         with pytest.raises(LabelOrderViolation):
             make_poset(3, [(2, 2)])
+
+    def test_direct_construction_checks_mask_count(self):
+        with pytest.raises(InternalInvariant):
+            Poset(3, (0, 0))
+
+    def test_invariant_survives_optimized_mode(self, tmp_path):
+        # an assert would vanish under -O; the raised invariant must not
+        package_root = str(Path(lieposet.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        code = "from lieposet.posets import Poset; Poset(3, (0, 0))"
+        run = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, cwd=tmp_path, env=env
+        )
+        assert run.returncode == 1
+        assert b"InternalInvariant" in run.stderr
 
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):
