@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from typing import Optional
 
 from .errors import (
@@ -482,8 +481,8 @@ def cycle_obstruction(P: Poset) -> Optional[list[int]]:
 
 def expected_kernel_coords(
     P: Poset, block_min: int, block_mid: int, alg: Optional[LieAlgebra] = None
-) -> list[Fraction]:
-    """Coordinates over the type-A basis of the predicted kernel generator
+) -> list[int]:
+    """Integer coordinates of the predicted kernel generator over the type-A basis
 
         sum over p of E_{p,p}  (p != b)  +  (1 - |P|) E_{b,b}  +  |P| E_{a,b}
 
@@ -492,16 +491,14 @@ def expected_kernel_coords(
     n = P.n
     if alg is None:
         alg = build_type_a(P)
-    coords = [Fraction(0)] * alg.dim
+    coords = [0] * alg.dim
     for p in range(2, n + 1):
-        d_p = Fraction(1 - n) if p == block_mid else Fraction(1)
-        coords[p - 2] = -d_p
-    elem_index = {lbl: k for k, lbl in enumerate(alg.basis)}
-    coords[elem_index[Elem(block_min, block_mid)]] = Fraction(n)
+        coords[p - 2] = n - 1 if p == block_mid else -1
+    coords[alg.basis.index(Elem(block_min, block_mid))] = n
     return coords
 
 
-def expected_kernel(P: Poset) -> list[Fraction]:
+def expected_kernel(P: Poset) -> list[int]:
     """Kernel generator of the contact form's Kirillov matrix, for a
     connected height-two contact poset, in P's own labels."""
     found = _find_with_replay(P)
@@ -514,11 +511,10 @@ def expected_kernel(P: Poset) -> list[Fraction]:
 
 def _annihilates(rows: list[list[int]], coords, off: int = 0) -> bool:
     """coords != 0 and B coords == 0, where B is `rows` without its first
-    `off` rows and columns; coords is cleared to integers first."""
+    `off` rows and columns (exact for integer or Fraction coords)."""
     if len(coords) != len(rows) - off:
         raise ShapeMismatch(f"vector length {len(coords)} != {len(rows) - off} columns")
-    d = lcm(*(c.denominator for c in coords))
-    L = {k + off: c.numerator * (d // c.denominator) for k, c in enumerate(coords) if c}
+    L = {k + off: c for k, c in enumerate(coords) if c}
     return bool(L) and not any(sum(row[k] * c for k, c in L.items()) for row in rows[off:])
 
 

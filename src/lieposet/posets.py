@@ -60,8 +60,8 @@ class Poset:
     """A finite poset on {1..n} with a transitively closed strict relation.
 
     Instances are immutable and hashable; all derived combinatorics is
-    cached.  Construct through :func:`make_poset` (which closes generator
-    relations and validates labels) rather than directly.
+    cached.  :func:`make_poset` closes generator relations; direct
+    construction checks that the masks are closed and naturally labelled.
     """
 
     n: int
@@ -70,6 +70,9 @@ class Poset:
     def __post_init__(self):
         if len(self.succ) != self.n:
             raise InternalInvariant(f"{len(self.succ)} successor masks for n = {self.n}")
+        for i, m in enumerate(self.succ):
+            if m & ((2 << i) - 1) or m >> self.n or any(self.succ[j - 1] & ~m for j in _bits(m)):
+                raise InternalInvariant(f"mask {m:#b} of {i + 1} is not natural and closed")
 
     # -- raw views ---------------------------------------------------------
 
@@ -504,10 +507,48 @@ def are_isomorphic(P: Poset, Q: Poset) -> bool:
 # enumeration
 
 
+def _is_lex_least(preds: list[int], k: int) -> bool:
+    """Whether preds[1..k] is the least pred-mask tuple over the natural
+    labellings of the poset it induces on {1..k}.  A DFS gives new labels
+    1, 2, ... to elements whose predecessors are placed: a pred mask in new
+    labels below preds[pos] rejects, above it cuts the branch, equal to it
+    goes deeper.  Per level only one of each group of twins (equal pred and
+    succ masks, an automorphism) is tried, so a k-antichain costs k, not k!."""
+    succs = [0] * (k + 1)
+    for j in range(2, k + 1):
+        for i in _bits(preds[j]):
+            succs[i] |= 1 << (j - 1)
+    new = [0] * (k + 1)
+
+    def smaller(pos: int, placed: int) -> bool:
+        tried = set()
+        for v in range(1, k + 1):
+            if placed >> (v - 1) & 1 or preds[v] & ~placed or (preds[v], succs[v]) in tried:
+                continue
+            tried.add((preds[v], succs[v]))
+            m = 0
+            for u in _bits(preds[v]):
+                m |= 1 << (new[u] - 1)
+            if m < preds[pos]:
+                return True
+            if m == preds[pos] and pos < k:
+                new[v] = pos
+                if smaller(pos + 1, placed | 1 << (v - 1)):
+                    return True
+        return False
+
+    return not smaller(1, 0)
+
+
 def _labeled_posets(n: int, max_height: Optional[int]) -> Iterator[tuple[int, ...]]:
-    """All naturally labeled posets on {1..n} as pred-mask tuples, generated
-    by choosing, for each element in turn, a transitively closed set of
-    predecessors among the earlier elements."""
+    """The least natural labelling of each poset on {1..n}, as pred-mask
+    tuples in increasing order (Read's orderly generation): element k takes
+    each closed predecessor set in turn, and the prefix preds[1..k] survives
+    only if `_is_lex_least`.  The first k labels form an order ideal, so a
+    smaller labelling of a prefix extends, unchanged past k, to a smaller
+    labelling of the whole; hence each class survives once, at its unique
+    least labelling.  Sets below preds[k-1] leave k-1, k incomparable, and
+    swapping the two is smaller, so they are skipped outright."""
     preds = [0] * (n + 1)
     hts = [0] * (n + 1)
 
@@ -515,7 +556,7 @@ def _labeled_posets(n: int, max_height: Optional[int]) -> Iterator[tuple[int, ..
         if k > n:
             yield tuple(preds[1:])
             return
-        for s in range(1 << (k - 1)):
+        for s in range(preds[k - 1], 1 << (k - 1)):
             m = s
             ok = True
             h = 0
@@ -532,7 +573,8 @@ def _labeled_posets(n: int, max_height: Optional[int]) -> Iterator[tuple[int, ..
                 continue
             preds[k] = s
             hts[k] = h
-            yield from rec(k + 1)
+            if _is_lex_least(preds, k):
+                yield from rec(k + 1)
         preds[k] = 0
         hts[k] = 0
 
@@ -543,7 +585,7 @@ def enumerate_posets(
     n: int, max_height: Optional[int] = None, connected_only: bool = False
 ) -> Iterator[Poset]:
     """One canonically labeled representative per isomorphism class of posets
-    on n elements with height <= max_height, in deterministic order."""
+    on n elements with height <= max_height, ordered by least labelling."""
     if n > ENUMERATION_BOUND:
         raise SizeBound(f"enumeration limited to n <= {ENUMERATION_BOUND}")
     if n < 1:
@@ -554,11 +596,11 @@ def enumerate_posets(
         for j in range(1, n + 1):
             for i in _bits(pred_masks[j - 1]):
                 succ[i - 1] |= 1 << (j - 1)
-        P = Poset(n, tuple(succ))
-        key = _canonical_encoding(n, P.pairs)
-        if key in seen:
-            continue
-        seen.add(key)
+        key = _canonical_encoding(n, Poset(n, tuple(succ)).pairs)
+        packed = sum(1 << (i * n + j) for i, j in key)  # a small int per class
+        if packed in seen:
+            raise InternalInvariant(f"orderly generation repeated the class {key}")
+        seen.add(packed)
         Q = make_poset(n, key)
         if connected_only and not Q.is_connected:
             continue

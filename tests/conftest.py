@@ -43,6 +43,20 @@ def brute_force_labeled_posets(n: int):
     return out
 
 
+def brute_force_least_pred_masks(n: int, rel) -> tuple[int, ...]:
+    """The least pred-mask tuple (bit i-1 of entry j-1 set iff i < j) over
+    every relabelling of the relation `rel` on {1..n} that keeps it natural."""
+    best = None
+    for perm in permutations(range(1, n + 1)):
+        if all(perm[a - 1] < perm[b - 1] for a, b in rel):
+            masks = [0] * n
+            for a, b in rel:
+                masks[perm[b - 1] - 1] |= 1 << (perm[a - 1] - 1)
+            if best is None or tuple(masks) < best:
+                best = tuple(masks)
+    return best
+
+
 def brute_force_class_count(n: int, max_height=None) -> int:
     reps: list[Poset] = []
     for rel in brute_force_labeled_posets(n):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -13,6 +14,7 @@ from conftest import (
     brute_force_class_count,
     brute_force_isomorphic,
     brute_force_labeled_posets,
+    brute_force_least_pred_masks,
 )
 from lieposet.errors import (
     HeightBound,
@@ -22,6 +24,7 @@ from lieposet.errors import (
     OutOfRange,
     SizeBound,
 )
+from lieposet import posets
 from lieposet.posets import (
     Poset,
     are_isomorphic,
@@ -43,6 +46,20 @@ from lieposet.posets import (
     split_components,
     up_down,
 )
+
+
+def _assert_invariant_under_optimize(cwd, statement: str):
+    """`statement`, run after importing Poset under `python -O` against the
+    package the suite imported, must end in InternalInvariant."""
+    package_root = str(Path(lieposet.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    code = f"from lieposet.posets import Poset; {statement}"
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, cwd=cwd, env=env
+    )
+    assert run.returncode == 1
+    assert b"InternalInvariant" in run.stderr
 
 
 class TestMakePoset:
@@ -72,17 +89,27 @@ class TestMakePoset:
         with pytest.raises(InternalInvariant):
             Poset(3, (0, 0))
 
+    @pytest.mark.parametrize(
+        "succ",
+        [(0b010, 0b100, 0), (0, 0b001, 0), (0b001, 0, 0), (0b1000, 0, 0)],
+        ids=["not-closed", "label-order", "reflexive", "out-of-range"],
+    )
+    def test_direct_construction_checks_masks(self, succ):
+        with pytest.raises(InternalInvariant):
+            Poset(3, succ)
+
+    def test_direct_construction_accepts_closed_natural_masks(self):
+        assert Poset(3, (0b110, 0b100, 0)) == make_poset(3, [(1, 2), (2, 3)])
+
     def test_invariant_survives_optimized_mode(self, tmp_path):
         # an assert would vanish under -O; the raised invariant must not
-        package_root = str(Path(lieposet.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-        code = "from lieposet.posets import Poset; Poset(3, (0, 0))"
-        run = subprocess.run(
-            [sys.executable, "-O", "-c", code], capture_output=True, cwd=tmp_path, env=env
-        )
-        assert run.returncode == 1
-        assert b"InternalInvariant" in run.stderr
+        _assert_invariant_under_optimize(tmp_path, "Poset(3, (0, 0))")
+
+    @pytest.mark.parametrize(
+        "succ", ["(0b010, 0b100, 0)", "(0, 0b001, 0)"], ids=["not-closed", "label-order"]
+    )
+    def test_mask_checks_survive_optimized_mode(self, tmp_path, succ):
+        _assert_invariant_under_optimize(tmp_path, f"Poset(3, {succ})")
 
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):
@@ -326,6 +353,90 @@ class TestEnumeration:
 
     def test_height_filter_only_keeps_low_heights(self):
         assert all(P.height <= 1 for P in enumerate_posets(5, max_height=1))
+
+
+def _digest(posets_iter) -> str:
+    return hashlib.sha256(repr([P.pairs for P in posets_iter]).encode()).hexdigest()
+
+
+class _CallBudgetExceeded(Exception):
+    pass
+
+
+def _within_call_budget(budget: int, fn, *args):
+    """fn(*args), raising once more than `budget` Python frames of the
+    posets module have been entered (generator resumptions count too)."""
+    count = 0
+
+    def tracer(frame, event, arg):
+        nonlocal count
+        if frame.f_code.co_filename == posets.__file__:
+            count += 1
+            if count > budget:
+                raise _CallBudgetExceeded(f"more than {budget} calls")
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        return fn(*args)
+    finally:
+        sys.settrace(previous)
+
+
+class TestOrderlyGeneration:
+    """Each class is generated once, at its least natural labelling; the
+    oracles here share no code with `posets`."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_lex_least_test_agrees_with_brute_force(self, n):
+        for rel in brute_force_labeled_posets(n):
+            preds = [0] * (n + 1)
+            for a, b in rel:
+                preds[b] |= 1 << (a - 1)
+            least = brute_force_least_pred_masks(n, rel)
+            assert posets._is_lex_least(preds, n) == (tuple(preds[1:]) == least), rel
+
+    @pytest.mark.parametrize(
+        "n,count", list(zip(range(1, 9), [1, 2, 5, 16, 63, 318, 2045, 16999]))
+    )
+    def test_class_counts_match_oeis_a000112(self, n, count):
+        assert sum(1 for _ in enumerate_posets(n)) == count
+
+    def test_six_element_reps_pairwise_non_isomorphic_by_networkx(self):
+        import networkx as nx
+
+        buckets: dict = {}
+        for P in enumerate_posets(6):
+            G = nx.DiGraph()
+            G.add_nodes_from(range(1, P.n + 1))
+            G.add_edges_from(P.pairs)
+            degrees = tuple(sorted((G.in_degree(v), G.out_degree(v)) for v in G))
+            bucket = buckets.setdefault((P.n, G.number_of_edges(), degrees), [])
+            assert not any(nx.is_isomorphic(G, H) for H in bucket), P
+            bucket.append(G)
+        assert sum(map(len, buckets.values())) == 318
+
+    @pytest.mark.parametrize(
+        "preds",
+        [[0] * 13, [0] * 7 + [0b111111] * 6],
+        ids=["antichain-12", "complete-bipartite-6-6"],
+    )
+    def test_twins_keep_the_search_small(self, preds):
+        # without the twin rule these cost 12! and 6! * 6! leaves
+        assert _within_call_budget(2000, posets._is_lex_least, preds, 12)
+
+    def test_order_pinned_up_to_seven_elements(self):
+        # digests of the order before orderly generation replaced the
+        # per-labelling dedupe
+        h2 = _digest(P for n in range(1, 8) for P in enumerate_posets(n, max_height=2))
+        assert h2 == "c7cd5909185db6527a615da521b4935dc9f78945e6dcf77d2bdfdbafeba309e7"
+        full = _digest(P for n in range(1, 8) for P in enumerate_posets(n))
+        assert full == "dc0dab118666fa7436af93e88faba72898dff23b217fc47006a48aa97b2629cc"
+
+    def test_order_pinned_at_eight_elements_height_two(self):
+        reps = list(enumerate_posets(8, max_height=2))
+        assert len(reps) == 6929
+        assert _digest(reps) == "4f59d6394d122c819b9c28681bf868a43bf27c42d183593f60bf7af052defdf4"
 
 
 class TestInterchange:
