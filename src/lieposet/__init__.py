@@ -49,10 +49,7 @@ from .posets import (
     disjoint_sum,
     enumerate_posets,
     extremal_data,
-    hasse,
-    height,
     interior_neighborhood,
-    is_connected,
     is_forest,
     make_poset,
     up_down,

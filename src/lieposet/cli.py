@@ -191,7 +191,6 @@ def cmd_homology(args) -> int:
     report["reduced_betti"] = betti_numbers(K, reduced=True)
     report["euler_characteristic"] = K.euler_characteristic()
     if args.cohomology and "poset" in report:
-        P = poset_from_json(report["poset"])
         if P.n >= 2:
             alg = build_type_a(P)
             if alg.dim <= CE_DIM_BOUND:

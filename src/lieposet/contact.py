@@ -236,36 +236,24 @@ def apply_gluing(Q: Poset, step: GluingStep) -> GluingResult:
     for a, b in block.poset.pairs:
         pairs.add((assign[local_role[a]], assign[local_role[b]]))
 
-    succ: dict[int, set[int]] = {v: set() for v in range(1, n_total + 1)}
+    # peel layers: an element whose generator predecessors are all placed
+    # goes next, by label; a longest generator chain is a longest chain of
+    # the closure, so this is the (height, label) order
+    pred = [0] * (n_total + 1)
     for a, b in pairs:
-        succ[a].add(b)
-    changed = True
-    while changed:
-        changed = False
-        for v in succ:
-            extra = set()
-            for w in succ[v]:
-                extra |= succ[w]
-            if not extra <= succ[v]:
-                succ[v] |= extra
-                changed = True
-    if any(v in succ[v] for v in succ):
-        raise InternalInvariant("gluing produced a directed cycle")
-
-    heights = {v: 0 for v in succ}
-    changed = True
-    while changed:
-        changed = False
-        for v in succ:
-            for w in succ[v]:
-                if heights[w] < heights[v] + 1:
-                    heights[w] = heights[v] + 1
-                    changed = True
-    order = sorted(succ, key=lambda v: (heights[v], v))
+        pred[b] |= 1 << a
+    order: list[int] = []
+    placed = 0
+    while len(order) < n_total:
+        layer = [
+            v for v in range(1, n_total + 1) if not placed >> v & 1 and not pred[v] & ~placed
+        ]
+        if not layer:
+            raise InternalInvariant("gluing produced a directed cycle")
+        order += layer
+        placed |= sum(1 << v for v in layer)
     new_label = {v: k + 1 for k, v in enumerate(order)}
-    glued = make_poset(
-        n_total, [(new_label[a], new_label[b]) for a in succ for b in succ[a]]
-    )
+    glued = make_poset(n_total, [(new_label[a], new_label[b]) for a, b in pairs])
     return GluingResult(
         poset=glued,
         q_map={v: new_label[v] for v in range(1, Q.n + 1)},
@@ -578,14 +566,15 @@ def _decompose_blocks(P: Poset):
     return blocks
 
 
-def _match_rule(kind, role_map, covered, host, host_label):
+def _match_rule(kind, role_map, host, host_label):
     """Decide which contact rule attaches the block to the running poset,
-    given which of its elements are already covered.  Returns
+    given which of its elements are already covered (the keys of
+    `host_label`, which maps them to labels of `host`).  Returns
     (rule tag, role_map with a-roles normalized) or None when no contact
     rule attaches the block right now."""
-    x_cov = role_map["x"] in covered
+    x_cov = role_map["x"] in host_label
     if kind in ("P11", "P111"):
-        y_cov = role_map["y"] in covered
+        y_cov = role_map["y"] in host_label
         if not x_cov and not y_cov:
             return None
         if not x_cov:
@@ -595,7 +584,7 @@ def _match_rule(kind, role_map, covered, host, host_label):
         related = host.related(host_label[role_map["x"]], host_label[role_map["y"]])
         return ("D1", role_map) if related else None  # unrelated would be E1
     y, z = role_map["y"], role_map["z"]
-    y_cov, z_cov = y in covered, z in covered
+    y_cov, z_cov = y in host_label, z in host_label
     if not x_cov and not y_cov and not z_cov:
         return None
     if not x_cov:
@@ -618,8 +607,18 @@ def _match_rule(kind, role_map, covered, host, host_label):
 
 def _find_with_replay(P: Poset) -> Optional[FoundSequence]:
     """Search for a contact sequence decomposing P, the P(1,1,1) block
-    placed first, attachment order found by depth-first search with failed
-    block-subsets memoized."""
+    placed first: attach the lowest-index remaining block for which
+    `_match_rule` gives a rule, until none remains (or none matches).
+
+    Greedy attachment never needs to backtrack.  Under the classifier's
+    bullets the Ext-restricted Hasse diagram is a tree.  The running poset
+    is connected, and every Ext relation in it is a relation of P.  If a
+    block met the running poset in two unrelated extremal elements (the
+    patterns B, E, G and H that `_match_rule` refuses), its relation
+    between them would close a cycle with a path through the running
+    poset.  So while blocks remain, one of them meets the running poset
+    (P is connected) in a pattern that a contact rule attaches, and
+    attaching it never blocks another."""
     if not P.is_connected:
         raise Disconnected("sequence search requires a connected poset")
     if P.height != 2:
@@ -630,48 +629,30 @@ def _find_with_replay(P: Poset) -> Optional[FoundSequence]:
     p111s = [k for k, (kind, _) in enumerate(blocks) if kind == "P111"]
     if len(p111s) != 1:
         return None
-    first = p111s[0]
-    full_mask = (1 << len(blocks)) - 1
-    dead: set[int] = set()
-
-    def dfs(used_mask: int, replay: Replay, host_label: dict[int, int]):
-        if used_mask == full_mask:
-            return replay, host_label
-        if used_mask in dead:
-            return None
-        covered = set(host_label)
-        for k, (kind, role_map) in enumerate(blocks):
-            if used_mask >> k & 1:
-                continue
-            match = _match_rule(kind, role_map, covered, replay.poset, host_label)
-            if match is None:
-                continue
-            tag, roles = match
-            rule = RULES[tag]
-            step = GluingStep(
-                kind,
-                tag,
-                target_x=host_label[roles["x"]] if rule.id_c else None,
-                target_y=host_label[roles["y"]] if rule.id_a1 else None,
-                target_z=host_label[roles["z"]] if rule.id_a2 else None,
-            )
-            child, res = replay.apply_with_map(step)
-            new_host = {v: res.q_map[lbl] for v, lbl in host_label.items()}
-            for role, p_elem in roles.items():
-                new_host[p_elem] = res.role_labels[role]
-            out = dfs(used_mask | 1 << k, child, new_host)
-            if out is not None:
-                return out
-        dead.add(used_mask)
-        return None
-
-    kind, role_map = blocks[first]
-    start = Replay.start(kind)
+    kind, role_map = blocks.pop(p111s[0])
+    replay = Replay.start(kind)
     host_label = {p_elem: dict(BLOCKS[kind].roles)[role] for role, p_elem in role_map.items()}
-    out = dfs(1 << first, start, host_label)
-    if out is None:
-        return None
-    replay, host_label = out
+    while blocks:
+        for k, (kind, role_map) in enumerate(blocks):
+            match = _match_rule(kind, role_map, replay.poset, host_label)
+            if match is not None:
+                break
+        else:
+            return None
+        del blocks[k]
+        tag, roles = match
+        rule = RULES[tag]
+        step = GluingStep(
+            kind,
+            tag,
+            target_x=host_label[roles["x"]] if rule.id_c else None,
+            target_y=host_label[roles["y"]] if rule.id_a1 else None,
+            target_z=host_label[roles["z"]] if rule.id_a2 else None,
+        )
+        replay, res = replay.apply_with_map(step)
+        host_label = {v: res.q_map[lbl] for v, lbl in host_label.items()}
+        for role, p_elem in roles.items():
+            host_label[p_elem] = res.role_labels[role]
     mapped = {(host_label[a], host_label[b]) for a, b in P.pairs}
     if mapped != set(replay.poset.pairs):
         raise InternalInvariant("replayed poset does not match")
@@ -936,7 +917,7 @@ def _replay_orbit_key(rep: Replay, include_form: bool = True):
     any other replay is keyed as with `include_form` off."""
     P = rep.poset
     if not include_form or rep.p111_pos != 0:
-        return (_canonical_encoding(P.n, P.pairs), rep.p111_used)
+        return (_canonical_encoding(P), rep.p111_used)
     r0 = rep.roles[0]
     marks = {r0["x"]: "a", r0["m"]: "b", r0["y"]: "c"}
     term_pairs = _form_pairs(rep)
@@ -955,7 +936,7 @@ def _replay_orbit_key(rep: Replay, include_form: bool = True):
             tuple(sorted((new[v], m) for v, m in marks.items())),
         )
 
-    return _canonical_encoding(P.n, P.pairs, extra_color, decorate)
+    return _canonical_encoding(P, extra_color, decorate)
 
 
 def _enumerate_steps(

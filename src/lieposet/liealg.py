@@ -271,10 +271,6 @@ class Functional:
     def values(self, alg: LieAlgebra) -> list[Union[int, Fraction]]:
         return [self.value_on_basis(alg, k) for k in range(alg.dim)]
 
-    def value_on_coords(self, alg: LieAlgebra, coords: dict[int, Fraction]) -> Fraction:
-        vals = self.values(alg)
-        return sum((c * vals[k] for k, c in coords.items()), Fraction(0))
-
     def to_terms(self) -> list:
         """JSON-ready list of [key..., coefficient-string] terms."""
         if self.kind == "positions":

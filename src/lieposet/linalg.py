@@ -9,8 +9,8 @@ constant of a poset algebra is an integer, so the callers in `liealg`,
 no Fraction round trip.  `RationalMatrix` clears each row's denominators
 and runs the same elimination for its rank and determinant.  Kernels use
 sparse rational Gauss-Jordan (`sparse_kernel`, on rows of ints or
-Fractions); Pfaffians use skew congruence elimination, with a
-division-free expansion kept as an independent oracle.
+Fractions); Pfaffians use a division-free expansion, which works over
+any commutative ring, polynomials included.
 """
 
 from __future__ import annotations
@@ -44,10 +44,6 @@ class RationalMatrix:
     def __setattr__(self, *args):
         raise AttributeError("RationalMatrix is immutable")
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls([[0] * cols for _ in range(rows)])
-
     def __getitem__(self, ij):
         i, j = ij
         return self.data[i][j]
@@ -60,21 +56,6 @@ class RationalMatrix:
 
     def __repr__(self):
         return f"RationalMatrix({[list(map(str, r)) for r in self.data]})"
-
-    def is_skew_symmetric(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        return all(
-            self.data[i][j] == -self.data[j][i]
-            for i in range(self.rows)
-            for j in range(i, self.cols)
-        )
-
-    def mul_vector(self, v: Sequence) -> list[Fraction]:
-        vec = [_as_fraction(x) for x in v]
-        if len(vec) != self.cols:
-            raise ShapeMismatch(f"vector length {len(vec)} != {self.cols} columns")
-        return [sum((r[j] * vec[j] for j in range(self.cols)), Fraction(0)) for r in self.data]
 
     # -- integerization -----------------------------------------------------
 
@@ -112,56 +93,6 @@ class RationalMatrix:
         """A basis of the right kernel, as `sparse_kernel` gives it."""
         rows = [{j: x for j, x in enumerate(row) if x} for row in self.data]
         return sparse_kernel(rows, self.cols)
-
-    def pfaffian(self) -> Fraction:
-        """Pfaffian of a skew-symmetric matrix of even size, by congruence
-        elimination.  pfaffian()**2 == determinant()."""
-        if self.rows != self.cols:
-            raise ShapeMismatch("pfaffian needs a square matrix")
-        if self.rows % 2:
-            raise ShapeMismatch("pfaffian needs even size")
-        if not self.is_skew_symmetric():
-            raise ShapeMismatch("pfaffian needs a skew-symmetric matrix")
-        n = self.rows
-        if n == 0:
-            return Fraction(1)
-        a = [list(row) for row in self.data]
-        sign = 1
-        result = Fraction(1)
-        for k in range(0, n - 1, 2):
-            piv = next((j for j in range(k + 1, n) if a[k][j]), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != k + 1:
-                a[piv], a[k + 1] = a[k + 1], a[piv]
-                for row in a:
-                    row[piv], row[k + 1] = row[k + 1], row[piv]
-                sign = -sign
-            pivot = a[k][k + 1]
-            result *= pivot
-            for i in range(k + 2, n):
-                if not a[k][i]:
-                    continue
-                f = a[k][i] / pivot
-                for c in range(n):
-                    a[i][c] -= f * a[k + 1][c]
-                for r in range(n):
-                    a[r][i] -= f * a[r][k + 1]
-        return sign * result
-
-    # -- plain text dumps -----------------------------------------------------
-
-    def to_text(self) -> str:
-        return "\n".join(" ".join(str(x) for x in row) for row in self.data) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "RationalMatrix":
-        rows = [
-            [Fraction(tok) for tok in line.split()]
-            for line in text.strip().splitlines()
-            if line.strip()
-        ]
-        return cls(rows)
 
 
 def sparse_kernel(rows: list[dict[int, object]], ncols: int) -> list[tuple[Fraction, ...]]:
@@ -445,17 +376,6 @@ class Poly:
                 else:
                     num.pop(mm, None)
         return Poly(self.nvars, quo)
-
-    def evaluate(self, values: Sequence) -> Fraction:
-        vals = [_as_fraction(v) for v in values]
-        total = Fraction(0)
-        for m, c in self.terms.items():
-            t = c
-            for i, e in enumerate(m):
-                for _ in range(e):
-                    t *= vals[i]
-            total += t
-        return total
 
     def __repr__(self):
         if not self.terms:

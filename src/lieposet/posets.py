@@ -95,9 +95,6 @@ class Poset:
     def pair_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.pairs)
 
-    def leq(self, i: int, j: int) -> bool:
-        return i == j or bool(self.succ[i - 1] >> (j - 1) & 1)
-
     def related(self, i: int, j: int) -> bool:
         """Comparable in either direction (and not equal)."""
         return bool(self.succ[i - 1] >> (j - 1) & 1 or self.succ[j - 1] >> (i - 1) & 1)
@@ -182,13 +179,6 @@ class Poset:
 
     def __repr__(self):
         return f"Poset(n={self.n}, rel={list(self.pairs)})"
-
-
-@dataclass(frozen=True)
-class HasseData:
-    covers: tuple[tuple[int, int], ...]
-    components: int
-    heights: dict[int, int]
 
 
 @dataclass(frozen=True)
@@ -332,23 +322,7 @@ def interior_neighborhood(P: Poset, i: int) -> Poset:
 
 
 # ---------------------------------------------------------------------------
-# Hasse diagram queries
-
-
-def hasse(P: Poset) -> HasseData:
-    return HasseData(
-        covers=P.covers,
-        components=P.components,
-        heights={v: P.heights[v - 1] for v in range(1, P.n + 1)},
-    )
-
-
-def height(P: Poset) -> int:
-    return P.height
-
-
-def is_connected(P: Poset) -> bool:
-    return P.is_connected
+# Hasse diagram cycles
 
 
 def _find_cycle(vertices, edges) -> Optional[list[int]]:
@@ -395,16 +369,10 @@ def is_forest(P: Poset, restrict_to_ext: bool = False) -> tuple[bool, Optional[l
     undirected graph.  Returns (flag, witness cycle or None); the witness is a
     vertex list in original labels, cyclically closed."""
     if restrict_to_ext:
-        ext = set(P.ext)
-        rel = [(i, j) for (i, j) in P.pairs if i in ext and j in ext]
-        # covers within the induced subposet on Ext
-        relset = set(rel)
-        edges = [
-            (i, j)
-            for (i, j) in rel
-            if not any((i, k) in relset and (k, j) in relset for k in ext)
-        ]
-        vertices = sorted(ext)
+        # an element strictly between two others is neither minimal nor
+        # maximal, so every relation among Ext is a cover of Ext
+        edges = list(extremal_data(P).rel_e)
+        vertices = list(P.ext)
     else:
         edges = list(P.covers)
         vertices = list(range(1, P.n + 1))
@@ -416,55 +384,42 @@ def is_forest(P: Poset, restrict_to_ext: bool = False) -> tuple[bool, Optional[l
 # canonical forms and isomorphism
 
 
-def _refine_classes(n, pairs, extra_color=None):
+def _refine_classes(P: Poset, extra_color=None):
     """Partition {1..n} into isomorphism-invariant classes, returned as lists
     ordered by (height, ...) so that block labeling stays natural.
 
     `extra_color` optionally maps an element to extra invariant data that a
     relabeling must preserve (used when canonicalizing decorated posets).
     """
-    preds: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
-    succs: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
-    for i, j in pairs:
-        succs[i].add(j)
-        preds[j].add(i)
-    h = {v: 0 for v in range(1, n + 1)}
-    for v in range(1, n + 1):
-        if preds[v]:
-            h[v] = 1 + max(h[u] for u in preds[v])
-
-    raw = {
-        v: (h[v], len(preds[v]), len(succs[v]), () if extra_color is None else extra_color(v))
-        for v in range(1, n + 1)
-    }
-    order = sorted(set(raw.values()))
-    color = {v: order.index(raw[v]) for v in raw}
+    preds = [tuple(_bits(m)) for m in P.pred]
+    succs = [tuple(_bits(m)) for m in P.succ]
+    raw = [
+        (h, len(d), len(u), () if extra_color is None else extra_color(v))
+        for v, h, d, u in zip(range(1, P.n + 1), P.heights, preds, succs)
+    ]
     while True:
-        raw2 = {
-            v: (
-                color[v],
-                tuple(sorted(color[u] for u in preds[v])),
-                tuple(sorted(color[u] for u in succs[v])),
-            )
-            for v in color
-        }
-        order2 = sorted(set(raw2.values()))
-        if len(order2) == len(set(color.values())):
+        rank = {r: c for c, r in enumerate(sorted(set(raw)))}
+        color = [None] + [rank[r] for r in raw]  # indexed by label
+        raw = [
+            (color[v], tuple(sorted([color[u] for u in d])), tuple(sorted([color[u] for u in s])))
+            for v, d, s in zip(range(1, P.n + 1), preds, succs)
+        ]
+        if len(set(raw)) == len(rank):
             break
-        color = {v: order2.index(raw2[v]) for v in raw2}
-    classes: dict[int, list[int]] = {}
-    for v in sorted(color):
-        classes.setdefault(color[v], []).append(v)
-    return [classes[c] for c in sorted(classes)]
+    classes: list[list[int]] = [[] for _ in rank]
+    for v in range(1, P.n + 1):
+        classes[color[v]].append(v)
+    return classes
 
 
-def _canonical_encoding(n, pairs, extra_color=None, decorate=None):
+def _canonical_encoding(P: Poset, extra_color=None, decorate=None):
     """Minimum relabeled encoding over all class-respecting bijections.
 
     `decorate(relabel)` may return extra invariant data to fold into the
     encoding (and the minimization), given the candidate relabeling map.
     """
-    classes = _refine_classes(n, pairs, extra_color)
+    classes = _refine_classes(P, extra_color)
+    pairs = P.pairs
     if not pairs and decorate is None:
         return ()
     best = None
@@ -489,7 +444,7 @@ def canonical_form(P: Poset):
     their canonical forms are equal."""
     if P.n > ENUMERATION_BOUND:
         raise SizeBound(f"canonical form limited to n <= {ENUMERATION_BOUND}")
-    return _canonical_encoding(P.n, P.pairs)
+    return _canonical_encoding(P)
 
 
 def canonical_poset(P: Poset) -> Poset:
@@ -596,12 +551,15 @@ def enumerate_posets(
         for j in range(1, n + 1):
             for i in _bits(pred_masks[j - 1]):
                 succ[i - 1] |= 1 << (j - 1)
-        key = _canonical_encoding(n, Poset(n, tuple(succ)).pairs)
+        key = _canonical_encoding(Poset(n, tuple(succ)))
         packed = sum(1 << (i * n + j) for i, j in key)  # a small int per class
         if packed in seen:
             raise InternalInvariant(f"orderly generation repeated the class {key}")
         seen.add(packed)
-        Q = make_poset(n, key)
+        succ = [0] * n
+        for i, j in key:  # the key is closed, and Poset checks it is natural
+            succ[i - 1] |= 1 << (j - 1)
+        Q = Poset(n, tuple(succ))
         if connected_only and not Q.is_connected:
             continue
         yield Q

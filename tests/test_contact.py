@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -32,6 +34,7 @@ from lieposet.contact import (
 )
 from lieposet.errors import (
     HeightBound,
+    InternalInvariant,
     InvalidSequence,
     NotFrobenius,
     PolarityMismatch,
@@ -52,6 +55,7 @@ from lieposet.posets import (
     disjoint_sum,
     enumerate_posets,
     make_poset,
+    poset_to_json,
 )
 
 PHI_0 = Functional.on_positions({(2, 2): 1, (1, 3): 1, (2, 3): 1})
@@ -252,6 +256,12 @@ class TestApplyGluing:
         with pytest.raises(RuleBlockMismatch):
             apply_gluing(Q, GluingStep("P11", "F", target_x=1, target_y=3))
 
+    def test_identifying_a_point_with_itself_is_a_cycle(self):
+        # a single point is both minimal and maximal, and E1 asks for an
+        # unrelated pair, so the edge block's relation becomes a loop
+        with pytest.raises(InternalInvariant, match="directed cycle"):
+            apply_gluing(make_poset(1, []), GluingStep("P11", "E1", target_x=1, target_y=1))
+
 
 class TestIndexContribution:
     @pytest.mark.parametrize(
@@ -346,6 +356,18 @@ class TestFindContactSequence:
                 if seq is not None:
                     assert all(s.rule in CONTACT_RULES for s in seq.steps[1:])
                     assert are_isomorphic(replay_sequence(seq).poset, P)
+
+    def test_sequences_pinned_through_seven_elements(self):
+        # the sequences of the backtracking search that greedy attachment
+        # replaced: 119 over the 1,020 connected posets of height <= 2
+        found = []
+        for n in range(1, 8):
+            for P in enumerate_posets(n, max_height=2, connected_only=True):
+                seq = find_contact_sequence(P) if P.height == 2 else None
+                found.append(None if seq is None else seq.to_json())
+        assert (len(found), sum(s is not None for s in found)) == (1020, 119)
+        digest = hashlib.sha256(json.dumps(found).encode()).hexdigest()
+        assert digest == "0cfc21457fe6ac47c3791d402f6b22176d62da06d1f28d8c9b74f3a68e9051fd"
 
     def test_classifier_agrees_with_search(self):
         for P in enumerate_posets(6, max_height=2, connected_only=True):
@@ -516,6 +538,16 @@ class TestReplayInvariants:
             det = extended_matrix(alg, contact_form_from_replay(rep)).determinant()
             assert det == (rep.poset.n - 1) ** 2, rep.steps
 
+    def test_states_pinned_at_four_steps(self):
+        # posets and build scripts of every state, as the gluing gave them
+        # when it closed the relation with its own loops
+        states = [
+            [poset_to_json(r.poset), r.sequence().to_json()] for r in generate_contact_replays(4)
+        ]
+        assert len(states) == 4621
+        digest = hashlib.sha256(json.dumps(states).encode()).hexdigest()
+        assert digest == "4333a764fdd52bba40107c7c44cb7cde6bb9a74c3b1e1cba9c57b3f14844ce16"
+
     def test_generated_states_are_connected_height_two_or_less(self):
         for rep in generate_contact_replays(3):
             assert rep.poset.is_connected
@@ -529,7 +561,7 @@ class TestReplayInvariants:
         assert len(with_form) > len(without)
 
         def classes(reps):
-            return {(_canonical_encoding(r.poset.n, r.poset.pairs), r.p111_used) for r in reps}
+            return {(_canonical_encoding(r.poset), r.p111_used) for r in reps}
 
         assert classes(with_form) == classes(without)
         assert any(r.p111_pos not in (0, None) for r in with_form)

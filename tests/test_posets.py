@@ -34,7 +34,6 @@ from lieposet.posets import (
     disjoint_sum,
     enumerate_posets,
     extremal_data,
-    hasse,
     interior_neighborhood,
     interior_shape,
     is_forest,
@@ -221,15 +220,14 @@ class TestDisjointSum:
 
 class TestHasse:
     def test_fork(self, fork_poset):
-        h = hasse(fork_poset)
-        assert set(h.covers) == {(1, 2), (2, 3), (2, 4)}
-        assert h.components == 1
+        assert set(fork_poset.covers) == {(1, 2), (2, 3), (2, 4)}
+        assert fork_poset.components == 1
         assert fork_poset.height == 2
-        assert h.heights == {1: 0, 2: 1, 3: 2, 4: 2}
+        assert fork_poset.heights == (0, 1, 2, 2)
 
     def test_antichain(self):
         P = make_poset(3, [])
-        assert hasse(P).covers == ()
+        assert P.covers == ()
         assert P.components == 3
         assert P.height == 0
 
@@ -263,6 +261,20 @@ class TestIsForest:
         ok, cycle = is_forest(six_element_cycle_poset)
         assert not ok
         assert set(cycle) == {1, 3, 4, 5}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_ext_relations_are_ext_covers(self, n):
+        # the Ext-restricted diagram takes every relation among Ext as an
+        # edge; filtering for covers of Ext, as a cubic loop, keeps them all
+        for P in enumerate_posets(n):
+            ext = set(P.ext)
+            rel = [(i, j) for (i, j) in P.pairs if i in ext and j in ext]
+            covers = [
+                (i, j)
+                for (i, j) in rel
+                if not any((i, k) in rel and (k, j) in rel for k in ext)
+            ]
+            assert covers == rel == list(extremal_data(P).rel_e), P
 
 
 class TestCanonicalForm:
