@@ -60,10 +60,8 @@ def _blocked_rank(cols_by_w, rows_by_w, entry) -> int:
     return total
 
 
-def ce_cohomology_dims(alg: LieAlgebra, max_degree: int = 2) -> tuple[int, int, int]:
+def ce_cohomology_dims(alg: LieAlgebra) -> tuple[int, int, int]:
     """(dim H^0, dim H^1, dim H^2) with coefficients in the adjoint module."""
-    if max_degree != 2:
-        raise ValueError("only degrees up to 2 are supported")
     if alg.dim > CE_DIM_BOUND:
         raise SizeBound(f"cohomology limited to dim <= {CE_DIM_BOUND}")
     dim = alg.dim

@@ -1010,7 +1010,8 @@ def generate_contact_replays(
                     if key in seen:
                         continue
                     seen.add(key)
-                    nxt.append(child)
+                    if depth + 1 < max_steps:
+                        nxt.append(child)
                     yield child
         frontier = nxt
         depth += 1

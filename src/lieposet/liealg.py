@@ -462,26 +462,9 @@ def is_frobenius_h2(P: Poset) -> bool:
         d, _, u = interior_shape(P, i)
         if d + u != 3:
             return False
+    # an acyclic diagram on V vertices is a tree exactly when it has V - 1 edges
     acyclic, _ = is_forest(P, restrict_to_ext=True)
-    if not acyclic:
-        return False
-    # a tree is connected: check the Ext comparability graph
-    ext = list(P.ext)
-    pos = {v: k for k, v in enumerate(ext)}
-    parent = list(range(len(ext)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i, j in P.pairs:
-        if i in pos and j in pos:
-            ra, rb = find(pos[i]), find(pos[j])
-            if ra != rb:
-                parent[rb] = ra
-    return len({find(k) for k in range(len(ext))}) == 1
+    return acyclic and len(extremal_data(P).rel_e) == len(P.ext) - 1
 
 
 def center(alg: LieAlgebra) -> list[tuple[Fraction, ...]]:

@@ -2,15 +2,16 @@
 polynomial ring for symbolic rank and Pfaffian certificates.
 
 The exact core works on integer rows: `exact_rank` is fraction-free Bareiss
-elimination on them, and `nonsingular` and `rank_at_least` try the rank
-modulo a prime first and fall back to `exact_rank`.  Every structure
-constant of a poset algebra is an integer, so the callers in `liealg`,
-`cohomology` and `complexes` hand their integer rows straight to it, with
-no Fraction round trip.  `RationalMatrix` clears each row's denominators
-and runs the same elimination for its rank and determinant.  Kernels use
-sparse rational Gauss-Jordan (`sparse_kernel`, on rows of ints or
-Fractions); Pfaffians use a division-free expansion, which works over
-any commutative ring, polynomials included.
+elimination on them, and `rank_at_least` (with `nonsingular`, full rank)
+tries the rank modulo a prime first, a sparse elimination over F_p, and
+falls back to `exact_rank`.  Every structure constant of a poset algebra
+is an integer, so the callers in `liealg`, `cohomology` and `complexes`
+hand their integer rows straight to it, with no Fraction round trip.
+`RationalMatrix` clears each row's denominators and runs the same
+elimination for its rank and determinant.  Kernels use sparse rational
+Gauss-Jordan (`sparse_kernel`, on rows of ints or Fractions); Pfaffians use
+a division-free expansion, which works over any commutative ring,
+polynomials included.
 """
 
 from __future__ import annotations
@@ -181,42 +182,45 @@ def _bareiss_echelon(rows: list[list[int]]) -> tuple[int, int, int]:
     return r, sign, prev
 
 
-_MODP_PRIME = 2147483629  # < 2^31, so products stay inside int64
+# A fixed prime, so every rank mod p, and with it every sampled verdict
+# and every report, reproduces.
+_MODP_PRIME = 2147483629
 
 
-def rank_mod_p(int_rows: list[list[int]], p: int = _MODP_PRIME) -> int:
-    """Rank of an integer matrix modulo p (vectorized elimination).
+def rank_mod_p(int_rows: list[list[int]]) -> int:
+    """Rank of an integer matrix modulo a fixed prime p, by sparse
+    elimination over F_p.
 
-    Always a lower bound on the rational rank, with equality unless p
-    divides the relevant minors; callers combine it with an upper bound or
-    fall back to exact elimination."""
-    import numpy as np
-
-    if not int_rows or not int_rows[0]:
-        return 0
-    a = np.array(int_rows, dtype=object) % p
-    a = a.astype(np.int64)
-    nrows, ncols = a.shape
-    r = 0
-    for c in range(ncols):
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
+    Each row becomes a dict of its nonzero residues.  For each column the
+    sparsest live row holding it is the pivot: the column is cleared from
+    the other holders, and the pivot row is dropped and counted.  The rank
+    does not depend on the pivot order.  It is always a lower bound on the
+    rational rank, with equality unless p divides the relevant minors;
+    callers combine it with an upper bound or fall back to exact
+    elimination."""
+    p = _MODP_PRIME
+    rows = [{j: v for j, x in enumerate(row) if (v := x % p)} for row in int_rows]
+    rows = [row for row in rows if row]
+    rank = 0
+    for c in range(len(int_rows[0]) if int_rows else 0):
+        holders = [row for row in rows if c in row]
+        if not holders:
             continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r, c:] = (a[r, c:] * inv) % p
-        mask = a[r + 1:, c] != 0
-        if mask.any():
-            factors = a[r + 1:, c][mask]
-            block = a[r + 1:, c:]
-            block[mask] = (block[mask] - factors[:, None] * a[r, c:]) % p
-            a[r + 1:, c:] = block
-        r += 1
-        if r == nrows:
-            break
-    return r
+        piv = min(holders, key=len)
+        inv = pow(piv[c], p - 2, p)
+        for row in holders:
+            if row is piv:
+                continue
+            f = row[c] * inv % p
+            for j, x in piv.items():
+                v = (row.get(j, 0) - f * x) % p
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+        rows = [row for row in rows if row and row is not piv]
+        rank += 1
+    return rank
 
 
 def exact_rank(int_rows: list[list[int]]) -> int:
@@ -227,22 +231,17 @@ def exact_rank(int_rows: list[list[int]]) -> int:
 
 
 def nonsingular(int_rows: list[list[int]]) -> bool:
-    """det != 0 for a square integer matrix.  A full rank modulo p decides
-    at once; otherwise `exact_rank` decides."""
+    """det != 0 for a square integer matrix: full rank, by `rank_at_least`."""
     n = len(int_rows)
     if any(len(row) != n for row in int_rows):
         raise ShapeMismatch("nonsingularity needs a square matrix")
-    if rank_mod_p(int_rows) == n:
-        return True
-    return exact_rank(int_rows) == n
+    return rank_at_least(int_rows, n)
 
 
 def rank_at_least(int_rows: list[list[int]], k: int) -> bool:
-    """rank >= k for an integer matrix, with the same mod-p fast path and
-    exact fallback as `nonsingular`."""
-    if rank_mod_p(int_rows) >= k:
-        return True
-    return exact_rank(int_rows) >= k
+    """rank >= k for an integer matrix.  The rank modulo p decides at once
+    when it reaches k; otherwise `exact_rank` decides."""
+    return rank_mod_p(int_rows) >= k or exact_rank(int_rows) >= k
 
 
 def pfaffian_expansion(mat, zero, is_zero=None):

@@ -321,15 +321,50 @@ class TestExportDot:
         assert "rank=same" in out and '"2" -> "4";' in out
 
 
+def _in_tree_env() -> dict:
+    """The environment for a child Python that imports the package this
+    suite imported: a relative PYTHONPATH such as "src" does not resolve
+    from another cwd."""
+    package_root = str(Path(lieposet.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
+# Runs each (stdin, argv) pair through cli.main with every `import numpy`
+# failing, and exits nonzero at the first command that does not exit 0.
+_NO_NUMPY_SCRIPT = """
+import io, json, sys
+sys.modules["numpy"] = None
+from lieposet.cli import main
+for text, argv in json.loads(sys.argv[1]):
+    sys.stdin = io.StringIO(text)
+    code = main(argv)
+    if code != 0:
+        sys.exit(f"{argv} exited {code}")
+"""
+
+
 class TestSubprocessEntry:
     def test_module_invocation_byte_identical(self, tmp_path):
-        # Run the package this suite imported: a relative PYTHONPATH such as
-        # "src" does not resolve from cwd=tmp_path.
-        package_root = str(Path(lieposet.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        env = _in_tree_env()
         cmd = [sys.executable, "-m", "lieposet.cli", "sweep", "--max-n", "3", "--seed", "2"]
         a = subprocess.run(cmd, capture_output=True, cwd=tmp_path, env=env)
         b = subprocess.run(cmd, capture_output=True, cwd=tmp_path, env=env)
         assert a.returncode == 0, a.stderr.decode()
         assert a.stdout == b.stdout
+
+    def test_runtime_needs_no_numpy(self, tmp_path):
+        # the sweep and the README examples, each of which reaches rank_mod_p
+        cases = [
+            ["", ["sweep", "--max-n", "5", "--seed", "7"]],
+            ['{"n": 4, "relations": [[1,2],[2,3],[2,4]]}', ["classify", "--seed", "7", "-"]],
+            ['{"dim": 3, "brackets": [[1, 2, {"3": 1}]]}', ["index", "--seed", "7", "-"]],
+            [
+                '{"steps": [{"block": "P111"}, {"block": "P112", "rule": "C", "c": 1}]}',
+                ["build", "-"],
+            ],
+        ]
+        cmd = [sys.executable, "-c", _NO_NUMPY_SCRIPT, json.dumps(cases)]
+        res = subprocess.run(cmd, capture_output=True, cwd=tmp_path, env=_in_tree_env())
+        assert res.returncode == 0, res.stderr.decode()

@@ -327,6 +327,27 @@ class TestFrobenius:
             for P in enumerate_posets(n, max_height=2):
                 assert is_frobenius_h2(P) == (index_formula_h2(P) == 0)
 
+    def test_matches_networkx_tree_oracle(self):
+        # the definition read off the relation pairs alone, with no package
+        # helper: every interior element has three comparable elements, and
+        # the comparability graph on the minimal-or-maximal ones is a tree
+        import networkx as nx
+
+        verdicts = set()
+        for n in range(1, 7):
+            for P in enumerate_posets(n, max_height=2):
+                below = {v: {i for i, j in P.pairs if j == v} for v in range(1, n + 1)}
+                above = {v: {j for i, j in P.pairs if i == v} for v in range(1, n + 1)}
+                ext = {v for v in below if not below[v] or not above[v]}
+                interior_ok = all(len(below[v]) + len(above[v]) == 3 for v in below if v not in ext)
+                G = nx.Graph()
+                G.add_nodes_from(ext)
+                G.add_edges_from((i, j) for i, j in P.pairs if i in ext and j in ext)
+                expected = interior_ok and nx.is_tree(G)
+                assert is_frobenius_h2(P) == expected, P.pairs
+                verdicts.add(expected)
+        assert verdicts == {False, True}
+
 
 class TestCenter:
     def test_connected_poset_has_trivial_center(self, fork_poset):

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     det_by_cofactors,
@@ -13,6 +15,7 @@ from conftest import (
 )
 from lieposet.errors import ShapeMismatch
 from lieposet.linalg import (
+    _MODP_PRIME,
     Poly,
     RationalMatrix,
     exact_rank,
@@ -170,6 +173,36 @@ class TestModP:
         assert nonsingular(m)
         assert rank_at_least(m, 2)
         assert not rank_at_least(m, 3)
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.data())
+    def test_rank_mod_p_matches_sympy_gf(self, data):
+        # sympy's DomainMatrix over GF(p) shares no code with linalg.  Shapes
+        # include zero rows and zero columns; entries mix small values,
+        # multiples of p and ints beyond 2^63, densely or sparsely, and some
+        # rows repeat combinations of earlier ones so that ranks drop.
+        from sympy import GF
+        from sympy.polys.matrices import DomainMatrix
+
+        p = _MODP_PRIME
+        nrows, ncols = data.draw(st.integers(0, 9)), data.draw(st.integers(0, 9))
+        entry = st.one_of(
+            st.integers(-3, 3),
+            st.integers(-3, 3).map(lambda k: k * p),
+            st.integers(-(2**80), 2**80),
+        )
+        if data.draw(st.booleans()):  # sparse
+            entry = st.one_of(st.just(0), st.just(0), entry)
+        rows = [[data.draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+        for i in range(2, nrows):
+            if data.draw(st.booleans()):
+                a, b = data.draw(st.integers(-2, 2)), data.draw(st.integers(-2, 2))
+                rows[i] = [a * x + b * y for x, y in zip(rows[i - 1], rows[i - 2])]
+        before = [list(row) for row in rows]
+        K = GF(p)
+        oracle = DomainMatrix([[K(x) for x in row] for row in rows], (nrows, ncols), K)
+        assert rank_mod_p(rows) == oracle.rank()
+        assert rows == before
 
     def test_decisions_match_sympy(self):
         # low-rank products U V and skew U^T S U, so singular matrices are
