@@ -497,13 +497,14 @@ def expected_kernel(P: Poset) -> list[int]:
     return expected_kernel_coords(P, emb[r0["x"]], emb[r0["m"]])
 
 
-def _annihilates(rows: list[list[int]], coords, off: int = 0) -> bool:
-    """coords != 0 and B coords == 0, where B is `rows` without its first
-    `off` rows and columns (exact for integer or Fraction coords)."""
+def _annihilates(rows: list[dict[int, int]], coords, off: int = 0) -> bool:
+    """coords != 0 and B coords == 0, where B is the square matrix of the
+    sparse `rows` without its first `off` rows and columns (exact for
+    integer or Fraction coords)."""
     if len(coords) != len(rows) - off:
         raise ShapeMismatch(f"vector length {len(coords)} != {len(rows) - off} columns")
     L = {k + off: c for k, c in enumerate(coords) if c}
-    return bool(L) and not any(sum(row[k] * c for k, c in L.items()) for row in rows[off:])
+    return bool(L) and not any(sum(x * L.get(j, 0) for j, x in row.items()) for row in rows[off:])
 
 
 def kernel_is_span_of(alg: LieAlgebra, phi: Functional, coords) -> bool:

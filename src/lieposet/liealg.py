@@ -305,11 +305,12 @@ def random_functional(alg: LieAlgebra, rng: random.Random, bound: int) -> Functi
 
 def kirillov_rows(
     alg: LieAlgebra, phi: Functional, bordered: bool = False
-) -> tuple[list[list[int]], int]:
-    """Integer rows R and an integer s > 0 such that R / s is the Kirillov
-    matrix [phi([b_i, b_j])], or with `bordered` that matrix bordered by
-    phi's values (top row (0, phi), left column (0, -phi)); the bordered
-    matrix is defined only in odd dimension.
+) -> tuple[list[dict[int, int]], int]:
+    """Integer rows R, each a dict of its nonzero entries by column, and an
+    integer s > 0 such that R / s is the Kirillov matrix [phi([b_i, b_j])],
+    or with `bordered` that matrix bordered by phi's values (top row
+    (0, phi), left column (0, -phi)); the bordered matrix is defined only in
+    odd dimension.
 
     phi's values are cleared by the lcm of their denominators, and the
     entries are taken on the algebra's integer table; the border is
@@ -322,30 +323,32 @@ def kirillov_rows(
     ivals = [v.numerator * (dv // v.denominator) for v in vals]
     dc = alg.denominator
     off = 1 if bordered else 0
-    size = alg.dim + off
-    rows = [[0] * size for _ in range(size)]
+    rows: list[dict[int, int]] = [{} for _ in range(alg.dim + off)]
     for (i, j), vec in alg.brackets.items():
-        e = sum(c * ivals[t] for t, c in vec.items())
-        rows[i + off][j + off] = e
-        rows[j + off][i + off] = -e
+        if e := sum(c * ivals[t] for t, c in vec.items()):
+            rows[i + off][j + off] = e
+            rows[j + off][i + off] = -e
     if bordered:
         for k, v in enumerate(ivals, start=1):
-            rows[0][k] = v * dc
-            rows[k][0] = -v * dc
+            if v:
+                rows[0][k] = v * dc
+                rows[k][0] = -v * dc
     return rows, dv * dc
+
+
+def _dense(rows: list[dict[int, int]], s: int) -> RationalMatrix:
+    return RationalMatrix([[Fraction(row.get(j, 0), s) for j in range(len(rows))] for row in rows])
 
 
 def kirillov_matrix(alg: LieAlgebra, phi: Functional) -> RationalMatrix:
     """The skew matrix with (i, j) entry phi([b_i, b_j])."""
-    rows, s = kirillov_rows(alg, phi)
-    return RationalMatrix([[Fraction(x, s) for x in row] for row in rows])
+    return _dense(*kirillov_rows(alg, phi))
 
 
 def extended_matrix(alg: LieAlgebra, phi: Functional) -> RationalMatrix:
     """The Kirillov matrix bordered by the coefficient vector of phi;
     defined only in odd dimension."""
-    rows, s = kirillov_rows(alg, phi, bordered=True)
-    return RationalMatrix([[Fraction(x, s) for x in row] for row in rows])
+    return _dense(*kirillov_rows(alg, phi, bordered=True))
 
 
 def symbolic_kirillov(alg: LieAlgebra, bordered: bool = False) -> tuple[list[list[Poly]], list]:
@@ -402,6 +405,11 @@ class IndexEstimate:
     the estimate is too large every time: `sweep` reports a
     `randomized-index` discrepancy, and `classify` shows `randomized` above
     `formula`.
+
+    A skew matrix has even rank, so a trial that reaches dim - dim % 2
+    proves `value` exact, and the trials after it are not drawn; `trials`
+    and `failure_bound` stay those of the full count asked for, and the
+    bound still holds.
     """
 
     value: int
@@ -416,16 +424,20 @@ class IndexEstimate:
 
 def index(alg: LieAlgebra, trials: int = 3, seed: int = 0, bound: int = 10**6) -> IndexEstimate:
     """dim - (max rank modulo p of the Kirillov matrix over random one-forms),
-    taken on the integer rows of `kirillov_rows`."""
+    taken on the integer rows of `kirillov_rows`; the draws stop once a rank
+    reaches the skew-rank ceiling dim - dim % 2."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if alg.dim == 0:
         return IndexEstimate(0, trials, seed, bound, Fraction(0))
     rng = random.Random(seed)
+    ceiling = alg.dim - alg.dim % 2
     best = 0
     for _ in range(trials):
         rows, _ = kirillov_rows(alg, random_functional(alg, rng, bound))
         best = max(best, rank_mod_p(rows))
+        if best == ceiling:
+            break
     per_trial = min(Fraction(alg.dim, bound), Fraction(1))
     return IndexEstimate(alg.dim - best, trials, seed, bound, per_trial**trials)
 

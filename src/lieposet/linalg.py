@@ -2,11 +2,12 @@
 polynomial ring for symbolic rank and Pfaffian certificates.
 
 The exact core works on integer rows: `exact_rank` is fraction-free Bareiss
-elimination on them, and `rank_at_least` (with `nonsingular`, full rank)
-tries the rank modulo a prime first, a sparse elimination over F_p, and
-falls back to `exact_rank`.  Every structure constant of a poset algebra
-is an integer, so the callers in `liealg`, `cohomology` and `complexes`
-hand their integer rows straight to it, with no Fraction round trip.
+elimination on dense rows, which `cohomology` and `complexes` hand it
+straight, with no Fraction round trip.  Kirillov matrices arrive as sparse
+rows, one dict of nonzero integer entries per row: `rank_mod_p` is a sparse
+elimination over F_p on them, and `rank_at_least` (with `nonsingular`, full
+rank) tries it first and writes the rows out densely for `exact_rank` only
+when the rank modulo p falls short.
 `RationalMatrix` clears each row's denominators and runs the same
 elimination for its rank and determinant.  Kernels use sparse rational
 Gauss-Jordan (`sparse_kernel`, on rows of ints or Fractions); Pfaffians use
@@ -187,27 +188,26 @@ def _bareiss_echelon(rows: list[list[int]]) -> tuple[int, int, int]:
 _MODP_PRIME = 2147483629
 
 
-def rank_mod_p(int_rows: list[list[int]]) -> int:
-    """Rank of an integer matrix modulo a fixed prime p, by sparse
-    elimination over F_p.
+def rank_mod_p(rows: list[dict[int, int]]) -> int:
+    """Rank modulo a fixed prime p of an integer matrix whose rows are
+    given as dicts of their nonzero entries, by sparse elimination over F_p.
 
     Each row becomes a dict of its nonzero residues.  For each column the
     sparsest live row holding it is the pivot: the column is cleared from
-    the other holders, and the pivot row is dropped and counted.  The rank
-    does not depend on the pivot order.  It is always a lower bound on the
-    rational rank, with equality unless p divides the relevant minors;
-    callers combine it with an upper bound or fall back to exact
-    elimination."""
+    the other holders, and the pivot row is dropped and counted.  Clearing
+    only writes into columns some row already holds, and the rank does not
+    depend on the pivot order.  It is always a lower bound on the rational
+    rank, with equality unless p divides the relevant minors; callers
+    combine it with an upper bound or fall back to exact elimination."""
     p = _MODP_PRIME
-    rows = [{j: v for j, x in enumerate(row) if (v := x % p)} for row in int_rows]
-    rows = [row for row in rows if row]
+    live = [r for row in rows if (r := {j: v for j, x in row.items() if (v := x % p)})]
     rank = 0
-    for c in range(len(int_rows[0]) if int_rows else 0):
-        holders = [row for row in rows if c in row]
+    for c in sorted({j for row in live for j in row}):
+        holders = [row for row in live if c in row]
         if not holders:
             continue
         piv = min(holders, key=len)
-        inv = pow(piv[c], p - 2, p)
+        inv = pow(piv[c], -1, p)
         for row in holders:
             if row is piv:
                 continue
@@ -218,7 +218,7 @@ def rank_mod_p(int_rows: list[list[int]]) -> int:
                     row[j] = v
                 else:
                     del row[j]
-        rows = [row for row in rows if row and row is not piv]
+        live = [row for row in live if row and row is not piv]
         rank += 1
     return rank
 
@@ -230,18 +230,23 @@ def exact_rank(int_rows: list[list[int]]) -> int:
     return _bareiss_echelon([list(row) for row in int_rows if any(row)])[0]
 
 
-def nonsingular(int_rows: list[list[int]]) -> bool:
-    """det != 0 for a square integer matrix: full rank, by `rank_at_least`."""
-    n = len(int_rows)
-    if any(len(row) != n for row in int_rows):
+def nonsingular(rows: list[dict[int, int]]) -> bool:
+    """det != 0 for a square integer matrix given as dicts of its nonzero
+    entries, one per row: full rank, by `rank_at_least`."""
+    n = len(rows)
+    if any(row and (min(row) < 0 or max(row) >= n) for row in rows):
         raise ShapeMismatch("nonsingularity needs a square matrix")
-    return rank_at_least(int_rows, n)
+    return rank_at_least(rows, n)
 
 
-def rank_at_least(int_rows: list[list[int]], k: int) -> bool:
-    """rank >= k for an integer matrix.  The rank modulo p decides at once
-    when it reaches k; otherwise `exact_rank` decides."""
-    return rank_mod_p(int_rows) >= k or exact_rank(int_rows) >= k
+def rank_at_least(rows: list[dict[int, int]], k: int) -> bool:
+    """rank >= k for an integer matrix given as dicts of its nonzero
+    entries.  The rank modulo p decides at once when it reaches k;
+    otherwise `exact_rank` decides on the rows written out densely."""
+    if rank_mod_p(rows) >= k:
+        return True
+    ncols = 1 + max((j for row in rows for j in row), default=-1)
+    return exact_rank([[row.get(j, 0) for j in range(ncols)] for row in rows]) >= k
 
 
 def pfaffian_expansion(mat, zero, is_zero=None):

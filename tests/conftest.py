@@ -72,6 +72,12 @@ def brute_force_class_count(n: int, max_height=None) -> int:
 # exact linear-algebra oracles
 
 
+def sparse_rows(rows) -> list[dict[int, int]]:
+    """Dense rows as the dicts of nonzero entries that `rank_mod_p`,
+    `nonsingular` and `rank_at_least` take."""
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
 def det_by_cofactors(rows) -> Fraction:
     n = len(rows)
     if n == 0:

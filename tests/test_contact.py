@@ -44,10 +44,11 @@ from lieposet.errors import (
 from lieposet.liealg import (
     Functional,
     build_type_a,
-    extended_matrix,
     index_formula_h2,
+    kirillov_rows,
     random_functional,
 )
+from lieposet.linalg import _bareiss_echelon
 from lieposet.posets import (
     _canonical_encoding,
     are_isomorphic,
@@ -517,6 +518,11 @@ class TestDisconnectedContactForm:
             disconnected_contact_form(complete_poset([1, 1, 1]), make_poset(2, [(1, 2)]))
 
 
+@pytest.fixture(scope="module")
+def four_step_states():
+    return list(generate_contact_replays(4))
+
+
 class TestReplayInvariants:
     def test_index_profile_around_chain_block(self):
         # before the P(1,1,1) block the index stays 0, afterwards 1
@@ -528,22 +534,24 @@ class TestReplayInvariants:
         for rep in generate_contact_replays(3):
             assert verify_replay(rep)
 
-    def test_bordered_determinant_is_square_of_rank(self):
+    def test_bordered_determinant_is_square_of_rank(self, four_step_states):
         # det of the bordered Kirillov matrix of the recursive contact form
-        # is exactly (|P| - 1)^2 on every state; pins the exact scale
-        states = list(generate_contact_replays(3))
-        assert len(states) == 231
-        for rep in states:
+        # is exactly (|P| - 1)^2 on every state; pins the exact scale.  The
+        # integer Bareiss determinant of R is s^size times that of R / s.
+        assert len(four_step_states) == 4621
+        for rep in four_step_states:
             alg = build_type_a(rep.poset)
-            det = extended_matrix(alg, contact_form_from_replay(rep)).determinant()
-            assert det == (rep.poset.n - 1) ** 2, rep.steps
+            rows, s = kirillov_rows(alg, contact_form_from_replay(rep), bordered=True)
+            size = len(rows)
+            dense = [[row.get(j, 0) for j in range(size)] for row in rows]
+            rank, sign, last = _bareiss_echelon(dense)
+            assert rank == size, rep.steps
+            assert Fraction(sign * last, s**size) == (rep.poset.n - 1) ** 2, rep.steps
 
-    def test_states_pinned_at_four_steps(self):
+    def test_states_pinned_at_four_steps(self, four_step_states):
         # posets and build scripts of every state, as the gluing gave them
         # when it closed the relation with its own loops
-        states = [
-            [poset_to_json(r.poset), r.sequence().to_json()] for r in generate_contact_replays(4)
-        ]
+        states = [[poset_to_json(r.poset), r.sequence().to_json()] for r in four_step_states]
         assert len(states) == 4621
         digest = hashlib.sha256(json.dumps(states).encode()).hexdigest()
         assert digest == "4333a764fdd52bba40107c7c44cb7cde6bb9a74c3b1e1cba9c57b3f14844ce16"

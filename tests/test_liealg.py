@@ -1,15 +1,18 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from conftest import det_by_cofactors, grow_h2_poset, sympy_nullspace
-from lieposet.contact import disconnected_contact_form, verify_contact_form
+from conftest import det_by_cofactors, grow_h2_poset, sparse_rows, sympy_nullspace
+import lieposet.liealg as liealg
+from lieposet.contact import classify_h2, disconnected_contact_form, verify_contact_form
 from lieposet.errors import EvenDimension, HeightBound, JacobiViolation, SizeBound, TooSmall
 from lieposet.liealg import (
     DiagDiff,
     Elem,
     Functional,
+    IndexEstimate,
     build_raw,
     build_type_a,
     center,
@@ -26,6 +29,15 @@ from lieposet.liealg import (
 from lieposet.posets import complete_poset, disjoint_sum, enumerate_posets, make_poset
 
 PHI_0 = Functional.on_positions({(2, 2): 1, (1, 3): 1, (2, 3): 1})
+
+
+def index_over_every_trial(g, trials: int, seed: int, bound: int = 10**6) -> IndexEstimate:
+    """`index` without its stop at the skew-rank ceiling: the same draws,
+    every one of them taken, each ranked exactly over Q on dense rows."""
+    rng = random.Random(seed)
+    best = max(kirillov_matrix(g, random_functional(g, rng, bound)).rank() for _ in range(trials))
+    per_trial = min(Fraction(g.dim, bound), Fraction(1))
+    return IndexEstimate(g.dim - best, trials, seed, bound, per_trial**trials)
 
 
 class TestBuildTypeA:
@@ -223,7 +235,7 @@ class TestKirillovRows:
         g = build_raw(3, [(1, 2, {"3": Fraction(1, 3)})])
         rows, s = kirillov_rows(g, Functional.on_basis({3: Fraction(1, 2)}), bordered=True)
         assert s == 6
-        assert rows == [[0, 0, 0, 3], [0, 0, 1, 0], [0, -1, 0, 0], [-3, 0, 0, 0]]
+        assert rows == sparse_rows([[0, 0, 0, 3], [0, 0, 1, 0], [0, -1, 0, 0], [-3, 0, 0, 0]])
 
 
 class TestIndex:
@@ -238,6 +250,44 @@ class TestIndex:
     def test_abelian(self):
         g = build_raw(3, [])
         assert index(g, trials=1, seed=0).value == 3
+
+    def test_large_abelian_in_linear_memory(self):
+        # the Kirillov rows of an abelian algebra are empty; written out
+        # densely they would hold 25 million zeros
+        g = build_raw(5000, [])
+        tracemalloc.start()
+        try:
+            value = index(g).value
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert value == 5000
+        assert peak < 20 * 2**20
+
+    def test_ceiling_stop_keeps_every_estimate(self):
+        for P in enumerate_posets(6, max_height=2):
+            if P.n >= 2:
+                g = build_type_a(P)
+                for seed in range(2):
+                    assert index(g, trials=3, seed=seed) == index_over_every_trial(g, 3, seed)
+
+    def test_frobenius_and_contact_take_one_rank(self, monkeypatch):
+        calls = []
+
+        def rank_mod_p(rows):
+            calls.append(len(rows))
+            return real_rank_mod_p(rows)
+
+        real_rank_mod_p = liealg.rank_mod_p
+        monkeypatch.setattr(liealg, "rank_mod_p", rank_mod_p)
+        checked = 0
+        for P in enumerate_posets(6, max_height=2):
+            if P.n >= 2 and (is_frobenius_h2(P) or classify_h2(P).contact):
+                calls.clear()
+                assert index(build_type_a(P), trials=3, seed=0).value == index_formula_h2(P) <= 1
+                assert len(calls) == 1, P
+                checked += 1
+        assert checked > 20
 
     def test_failure_bound_reported(self):
         g = build_type_a(complete_poset([1, 1, 1]))
@@ -266,12 +316,8 @@ class TestIndex:
         assert P.height == 2 and P.is_connected
         g = build_type_a(P)
         est = index(g, trials=3, seed=seed)
-        draws = random.Random(seed)
-        exact = max(
-            kirillov_matrix(g, random_functional(g, draws, est.sample_bound)).rank()
-            for _ in range(3)
-        )
-        assert est.value == index_formula_h2(P) == g.dim - exact
+        assert est == index_over_every_trial(g, 3, seed)
+        assert est.value == index_formula_h2(P)
 
     def test_rational_structure_constants(self):
         # halving every bracket gives an isomorphic algebra (b -> 2b), so the

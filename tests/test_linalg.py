@@ -11,6 +11,7 @@ from conftest import (
     pfaffian_by_pairings,
     random_rational_matrix,
     random_skew_matrix,
+    sparse_rows,
     sympy_nullspace,
 )
 from lieposet.errors import ShapeMismatch
@@ -154,21 +155,21 @@ class TestModP:
         rng = random.Random(6)
         for _ in range(15):
             rows = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(5)]
-            assert rank_mod_p(rows) == RationalMatrix(rows).rank()
+            assert rank_mod_p(sparse_rows(rows)) == RationalMatrix(rows).rank()
 
     def test_certified_helpers(self):
-        m = [[2, 0], [0, 3]]
+        m = sparse_rows([[2, 0], [0, 3]])
         assert nonsingular(m)
         assert rank_at_least(m, 2)
-        singular = [[1, 2], [2, 4]]
+        singular = sparse_rows([[1, 2], [2, 4]])
         assert not nonsingular(singular)
         assert not rank_at_least(singular, 2)
         with pytest.raises(ShapeMismatch):
-            nonsingular([[1, 2]])
+            nonsingular(sparse_rows([[1, 2]]))
 
     def test_exact_fallback_when_p_divides_the_determinant(self):
         # det = p, so the rank mod p is deficient while the matrix is nonsingular
-        m = [[2147483629, 0], [0, 1]]
+        m = sparse_rows([[2147483629, 0], [0, 1]])
         assert rank_mod_p(m) == 1
         assert nonsingular(m)
         assert rank_at_least(m, 2)
@@ -198,11 +199,12 @@ class TestModP:
             if data.draw(st.booleans()):
                 a, b = data.draw(st.integers(-2, 2)), data.draw(st.integers(-2, 2))
                 rows[i] = [a * x + b * y for x, y in zip(rows[i - 1], rows[i - 2])]
-        before = [list(row) for row in rows]
+        sparse = sparse_rows(rows)
+        before = [dict(row) for row in sparse]
         K = GF(p)
         oracle = DomainMatrix([[K(x) for x in row] for row in rows], (nrows, ncols), K)
-        assert rank_mod_p(rows) == oracle.rank()
-        assert rows == before
+        assert rank_mod_p(sparse) == oracle.rank()
+        assert sparse == before
 
     def test_decisions_match_sympy(self):
         # low-rank products U V and skew U^T S U, so singular matrices are
@@ -227,11 +229,12 @@ class TestModP:
                 V = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(r)]
                 rows = [[sum(U[i][t] * V[t][j] for t in range(r)) for j in range(m)] for i in range(n)]
             oracle = sympy.Matrix(rows)
+            sparse = sparse_rows(rows)
             if n == m:
-                assert nonsingular(rows) == (oracle.det() != 0), rows
-                verdicts.add((trial % 2, nonsingular(rows)))
+                assert nonsingular(sparse) == (oracle.det() != 0), rows
+                verdicts.add((trial % 2, nonsingular(sparse)))
             for k in range(min(n, m) + 2):
-                assert rank_at_least(rows, k) == (oracle.rank() >= k), (rows, k)
+                assert rank_at_least(sparse, k) == (oracle.rank() >= k), (rows, k)
         assert verdicts == {(0, False), (0, True), (1, False), (1, True)}
 
 
