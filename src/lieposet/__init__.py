@@ -33,6 +33,7 @@ from .liealg import (
     build_raw,
     build_type_a,
     center,
+    center_dim,
     extended_matrix,
     index,
     index_certified,

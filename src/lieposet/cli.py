@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from .cohomology import ce_cohomology_dims, CE_DIM_BOUND
 from .complexes import betti_numbers, check_homology_dimension, complex_from_json, order_complex
@@ -26,14 +27,15 @@ from .contact import (
 from .errors import DiscrepancyFound, LiePosetError, SizeBound
 from .liealg import (
     build_type_a,
-    center,
-    extended_matrix,
+    center_dim,
     index,
     index_certified,
     index_formula_h2,
+    kirillov_rows,
     raw_from_json,
     SYMBOLIC_INDEX_BOUND,
 )
+from .linalg import exact_determinant
 from .posets import is_forest, poset_from_json, poset_to_dot, poset_to_json
 from .sweep import run_sweep
 
@@ -94,7 +96,7 @@ def cmd_classify(args) -> int:
         report["index"]["failure_bound"] = str(est.failure_bound)
         if alg.dim <= SYMBOLIC_INDEX_BOUND:
             report["index"]["certified"] = index_certified(alg)
-        report["center_dim"] = len(center(alg))
+        report["center_dim"] = center_dim(alg)
     else:
         report["center_dim"] = 0
     acyclic, cycle = is_forest(P)
@@ -134,7 +136,9 @@ def cmd_build(args) -> int:
     P = rep.poset
     alg = build_type_a(P)
     phi = contact_form_from_replay(rep)
-    det = extended_matrix(alg, phi).determinant()
+    rows, s = kirillov_rows(alg, phi, bordered=True)
+    size = len(rows)
+    det = Fraction(exact_determinant([[row.get(j, 0) for j in range(size)] for row in rows]), s**size)
     r0 = rep.roles[0]
     coords = expected_kernel_coords(P, r0["x"], r0["m"])
     report = {

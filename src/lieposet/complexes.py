@@ -71,12 +71,13 @@ def order_complex(P: Poset) -> SimplicialComplex:
 
     def grow(chain: list[int]):
         chains.append(tuple(chain))
-        last = chain[-1]
-        for nxt in range(last + 1, P.n + 1):
-            if P.succ[last - 1] >> (nxt - 1) & 1:
-                chain.append(nxt)
-                grow(chain)
-                chain.pop()
+        m = P.succ[chain[-1] - 1]
+        while m:
+            low = m & -m
+            chain.append(low.bit_length())
+            grow(chain)
+            chain.pop()
+            m ^= low
 
     for v in range(1, P.n + 1):
         grow([v])

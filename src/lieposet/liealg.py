@@ -23,7 +23,7 @@ from .errors import (
     SizeBound,
     TooSmall,
 )
-from .linalg import Poly, RationalMatrix, rank_mod_p, sparse_kernel, symbolic_rank
+from .linalg import Poly, RationalMatrix, rank_mod_p, sparse_echelon, sparse_kernel, symbolic_rank
 from .posets import Poset, _bits, extremal_data, interior_shape, is_forest, json_int, up_down
 
 SYMBOLIC_INDEX_BOUND = 8
@@ -479,16 +479,27 @@ def is_frobenius_h2(P: Poset) -> bool:
     return acyclic and len(extremal_data(P).rel_e) == len(P.ext) - 1
 
 
-def center(alg: LieAlgebra) -> list[tuple[Fraction, ...]]:
-    """Basis of the center, as coordinate vectors over the algebra basis,
-    by exact nullspace computation of [z, b_i] = 0 for all i."""
+def _center_equations(alg: LieAlgebra) -> list[dict[int, int]]:
+    """The equations [z, b_j] = 0 on the coordinates of z, one sparse
+    integer row per (other basis element, target); the integer table's
+    scale leaves their solutions unchanged."""
     rows: dict[tuple[int, int], dict[int, int]] = {}
     for (i, j), vec in alg.brackets.items():
-        # column k = coefficient of b_t in [b_k, b_j]-type equations:
-        # equation rows are indexed by (other basis element, target), and
-        # each (row, column) is reached by one bracket only; the integer
-        # table's scale leaves the kernel unchanged
+        # column k = coefficient of b_t in [b_k, b_j]-type equations; each
+        # (row, column) is reached by one bracket only
         for t, c in vec.items():
             rows.setdefault((j, t), {})[i] = c
             rows.setdefault((i, t), {})[j] = -c
-    return sparse_kernel([rows[k] for k in sorted(rows)], alg.dim)
+    return [rows[k] for k in sorted(rows)]
+
+
+def center(alg: LieAlgebra) -> list[tuple[Fraction, ...]]:
+    """Basis of the center, as coordinate vectors over the algebra basis,
+    by exact nullspace computation of [z, b_i] = 0 for all i."""
+    return sparse_kernel(_center_equations(alg), alg.dim)
+
+
+def center_dim(alg: LieAlgebra) -> int:
+    """dim of the center: dim minus the rank of the same equations, from
+    the forward elimination alone, with no basis vector built."""
+    return alg.dim - len(sparse_echelon(_center_equations(alg)))

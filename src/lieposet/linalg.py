@@ -1,24 +1,27 @@
 """Exact linear algebra over the rationals, plus a small multivariate
 polynomial ring for symbolic rank and Pfaffian certificates.
 
-The exact core works on integer rows: `exact_rank` is fraction-free Bareiss
-elimination on dense rows, which `cohomology` and `complexes` hand it
-straight, with no Fraction round trip.  Kirillov matrices arrive as sparse
-rows, one dict of nonzero integer entries per row: `rank_mod_p` is a sparse
-elimination over F_p on them, and `rank_at_least` (with `nonsingular`, full
-rank) tries it first and writes the rows out densely for `exact_rank` only
-when the rank modulo p falls short.
+The exact core works on integer rows: `exact_rank` and `exact_determinant`
+are fraction-free Bareiss elimination on dense rows, which `cohomology`,
+`complexes` and `lieposet build` hand them straight, with no Fraction round
+trip.  Kirillov matrices arrive as sparse rows, one dict of nonzero integer
+entries per row: `rank_mod_p` is a sparse elimination over F_p on them, and
+`rank_at_least` (with `nonsingular`, full rank) tries it first and writes
+the rows out densely for `exact_rank` only when the rank modulo p falls
+short.
 `RationalMatrix` clears each row's denominators and runs the same
-elimination for its rank and determinant.  Kernels use sparse rational
-Gauss-Jordan (`sparse_kernel`, on rows of ints or Fractions); Pfaffians use
-a division-free expansion, which works over any commutative ring,
-polynomials included.
+elimination for its rank and determinant.  Kernels (`sparse_kernel`, on
+sparse rows of ints or Fractions) are exact forward elimination over the
+integers with a column index (`sparse_echelon`), then back-substitution for
+each free column, the one step that makes Fractions.  Pfaffians use a
+division-free expansion, which works over any commutative ring, polynomials
+included.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
 from typing import Sequence
 
 from .errors import ShapeMismatch
@@ -80,16 +83,8 @@ class RationalMatrix:
     def determinant(self) -> Fraction:
         if self.rows != self.cols:
             raise ShapeMismatch("determinant needs a square matrix")
-        if self.rows == 0:
-            return Fraction(1)
         rows, scales = self._int_rows()
-        r, sign, last = _bareiss_echelon(rows)
-        if r < self.rows:
-            return Fraction(0)
-        det = Fraction(sign * last)
-        for s in scales:
-            det /= s
-        return det
+        return Fraction(exact_determinant(rows), prod(scales))
 
     def kernel(self) -> list[tuple[Fraction, ...]]:
         """A basis of the right kernel, as `sparse_kernel` gives it."""
@@ -97,45 +92,94 @@ class RationalMatrix:
         return sparse_kernel(rows, self.cols)
 
 
-def sparse_kernel(rows: list[dict[int, object]], ncols: int) -> list[tuple[Fraction, ...]]:
-    """A basis of the right kernel of the matrix whose rows are given as
-    dicts of their nonzero entries (ints or Fractions; consumed), one
-    vector per free column, with the free coordinate set to 1
-    (deterministic order).
+def sparse_echelon(rows: list[dict[int, object]]) -> dict[int, dict[int, int]]:
+    """A row echelon form of the matrix whose rows are given as dicts of
+    their nonzero entries (ints or Fractions; the rows are left unchanged),
+    as pivot column -> pivot row, a primitive integer row whose leftmost
+    entry sits in that column.  Its size is the rank.
 
-    Sparse Gauss-Jordan: each pivot column is cleared only from the rows
-    that hold it.  The reduced row echelon form is unique, so the sparsest
-    candidate row can serve as the pivot without changing the basis."""
-    free = set(range(len(rows)))  # rows not yet used as a pivot
-    pivot_row: dict[int, dict[int, Fraction]] = {}  # column -> reduced row
-    for c in range(ncols):
-        holders = [i for i, row in enumerate(rows) if c in row]
-        candidates = [i for i in holders if i in free]
-        if not candidates:
+    Exact forward elimination over the integers: each row is cleared of
+    denominators and divided by the gcd of its entries.  An index from each
+    column to the live rows holding it is kept up to date on fill and on
+    cancellation, so a column's holders are looked up, never searched for.
+    Columns are taken in increasing order; the sparsest holder (the lowest
+    row on ties) is the pivot, the column is cleared from the other holders
+    only, and the pivot row is retired.  The pivot columns are then the
+    leftmost independent columns, whichever rows serve as pivots."""
+    live = []
+    for row in rows:
+        d = lcm(*(x.denominator for x in row.values()))
+        live.append(_primitive({j: x.numerator * (d // x.denominator) for j, x in row.items() if x}))
+    holders: dict[int, set[int]] = {}
+    for i, row in enumerate(live):
+        for j in row:
+            holders.setdefault(j, set()).add(i)
+    pivots: dict[int, dict[int, int]] = {}
+    for c in sorted(holders):
+        held = holders[c]
+        if not held:
             continue
-        p = min(candidates, key=lambda i: len(rows[i]))
-        free.discard(p)
-        inv = Fraction(1, rows[p][c])
-        piv = rows[p] = {j: x * inv for j, x in rows[p].items()}
-        for i in holders:
-            if i == p:
-                continue
-            row, f = rows[i], rows[i][c]
+        p = min(held, key=lambda i: (len(live[i]), i))
+        piv = pivots[c] = live[p]
+        for j in piv:
+            holders[j].discard(p)
+        pc = piv[c]
+        for i in list(held):
+            row = live[i]
+            b = row[c]
+            if b % pc:
+                g = gcd(pc, b)
+                b //= g
+                for j in row:
+                    row[j] *= pc // g
+            else:
+                b //= pc
             for j, x in piv.items():
-                v = row.get(j, 0) - f * x
+                v = row.get(j, 0) - b * x
                 if v:
+                    if j not in row:
+                        holders[j].add(i)
                     row[j] = v
                 else:
                     del row[j]
-        pivot_row[c] = piv
+                    holders[j].discard(i)
+            live[i] = _primitive(row)
+    return pivots
+
+
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    g = gcd(*row.values())
+    return {j: x // g for j, x in row.items()} if g > 1 else row
+
+
+def sparse_kernel(rows: list[dict[int, object]], ncols: int) -> list[tuple[Fraction, ...]]:
+    """A basis of the right kernel of the matrix whose rows are given as
+    dicts of their nonzero entries (ints or Fractions; left unchanged), one
+    vector per free column, with the free coordinate set to 1 and the other
+    free coordinates 0 (deterministic order).
+
+    Forward elimination (`sparse_echelon`), then back-substitution over the
+    echelon for each free column: the pivot rows are solved from the
+    highest pivot column down, skipping those right of the free column,
+    which hold nothing at or left of it.  The vectors are those read off
+    the reduced row echelon form, which is unique."""
+    pivots = sparse_echelon(rows)
+    down = sorted(pivots, reverse=True)
     basis = []
-    for fc in range(ncols):
-        if fc in pivot_row:
+    for f in range(ncols):
+        if f in pivots:
             continue
+        x = {f: Fraction(1)}
+        for pc in down:
+            if pc > f:
+                continue
+            piv = pivots[pc]
+            s = sum(v * x[j] for j, v in piv.items() if j in x)
+            if s:
+                x[pc] = -s / piv[pc]
         v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for pc, piv in pivot_row.items():
-            v[pc] = -piv.get(fc, Fraction(0))
+        for j, val in x.items():
+            v[j] = val
         basis.append(tuple(v))
     return basis
 
@@ -228,6 +272,17 @@ def exact_rank(int_rows: list[list[int]]) -> int:
     elimination on a copy of its rows.  All-zero rows are dropped first;
     they cannot hold a pivot."""
     return _bareiss_echelon([list(row) for row in int_rows if any(row)])[0]
+
+
+def exact_determinant(int_rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix, by fraction-free Bareiss
+    elimination on a copy of its rows: the swap sign times the last pivot,
+    or 0 when the rank falls short."""
+    n = len(int_rows)
+    if any(len(row) != n for row in int_rows):
+        raise ShapeMismatch("determinant needs a square matrix")
+    r, sign, last = _bareiss_echelon([list(row) for row in int_rows])
+    return sign * last if r == n else 0
 
 
 def nonsingular(rows: list[dict[int, int]]) -> bool:

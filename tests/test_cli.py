@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -50,6 +51,22 @@ class TestClassify:
 
         assert classify_h2(two_tree_forest).contact == (report["verdict"] == "Contact")
         assert index_formula_h2(two_tree_forest) == report["index"]["formula"]
+
+    def test_large_antichain_in_linear_memory(self, capsys, tmp_path):
+        # the center of a 5,000-element antichain's algebra is all of it;
+        # as basis vectors it would hold 25 million coordinates
+        path = write_json(tmp_path, "antichain.json", {"n": 5000, "relations": []})
+        tracemalloc.start()
+        try:
+            code = main(["classify", "--seed", "0", path])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert report["center_dim"] == 4999
+        assert report["betti"] == [5000]
+        assert peak < 20 * 2**20
 
     def test_cycle_poset_reports_captioned_cycle(self, capsys, cycle_file):
         code, out = run_cli(capsys, "classify", "--seed", "7", cycle_file)

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from lieposet.complexes import (
@@ -39,6 +41,19 @@ class TestOrderComplex:
         K = order_complex(fork_poset)
         assert K.face_counts() == [4, 5, 2]
         assert set(K.faces(2)) == {(1, 2, 3), (1, 2, 4)}
+
+    def test_faces_are_the_chains(self):
+        # every subset of every poset with at most 6 elements, kept when its
+        # elements are pairwise related
+        for n in range(1, 7):
+            for P in enumerate_posets(n):
+                chains = {
+                    face
+                    for k in range(1, n + 1)
+                    for face in combinations(range(1, n + 1), k)
+                    if all((a, b) in P.pair_set for a, b in combinations(face, 2))
+                }
+                assert set(order_complex(P).all_faces()) == chains, P
 
     def test_face_count_invariants_across_enumeration(self):
         for n in range(1, 6):

@@ -16,6 +16,7 @@ from lieposet.liealg import (
     build_raw,
     build_type_a,
     center,
+    center_dim,
     extended_matrix,
     index,
     index_certified,
@@ -420,7 +421,11 @@ class TestCenter:
         assert ratio != 0
 
     def test_abelian_center_is_everything(self):
-        assert len(center(build_raw(3, []))) == 3
+        g = build_raw(3, [])
+        assert len(center(g)) == center_dim(g) == 3
+        heisenberg = build_raw(3, [(1, 2, {"3": 1})])
+        assert center(heisenberg) == [(0, 0, 1)]
+        assert center_dim(heisenberg) == 1
 
     def test_matches_sympy_nullspace_up_to_five_elements(self):
         # the equations [z, b_j] = 0, one row per (j, target), assembled
@@ -439,6 +444,31 @@ class TestCenter:
                 assert basis == sympy_nullspace(rows or [[0] * g.dim])
                 nonzero += bool(basis)
         assert nonzero > 0
+
+    def test_closed_form_from_components(self):
+        # the center of a poset algebra is spanned by the trace-zero
+        # combinations of its components' identity blocks: dimension
+        # components - 1, no matrix-unit coordinate, and a diagonal that is
+        # constant along every relation.  Over the D(1,p) basis, coordinate
+        # p - 2 carries -d_p and d_1 is the sum of the coordinates.
+        posets = [P for n in range(2, 7) for P in enumerate_posets(n)]
+        assert len(posets) == 404
+        for seed, parts in enumerate((1, 2, 3, 1, 2, 3)):
+            rng = random.Random(seed)
+            grown = [grow_h2_poset(rng, 20 // parts, seed % 2 == 0) for _ in range(parts)]
+            P = grown[0]
+            for Q in grown[1:]:
+                P = disjoint_sum(P, Q)
+            assert 15 <= P.n <= 30 and P.components == parts
+            posets.append(P)
+        for P in posets:
+            g = build_type_a(P)
+            basis = center(g)
+            assert len(basis) == center_dim(g) == P.components - 1, P
+            for v in basis:
+                assert not any(v[P.n - 1:]), (P, v)
+                diag = [sum(v[: P.n - 1])] + [-x for x in v[: P.n - 1]]
+                assert all(diag[i - 1] == diag[j - 1] for i, j in P.pairs), (P, v)
 
     def test_center_elements_commute_post_hoc(self):
         P = disjoint_sum(complete_poset([1, 1, 2]), make_poset(2, [(1, 2)]))

@@ -19,11 +19,14 @@ from lieposet.linalg import (
     _MODP_PRIME,
     Poly,
     RationalMatrix,
+    exact_determinant,
     exact_rank,
     nonsingular,
     pfaffian_expansion,
     rank_at_least,
     rank_mod_p,
+    sparse_echelon,
+    sparse_kernel,
     symbolic_rank,
 )
 
@@ -97,13 +100,20 @@ class TestRankDetPfaffian:
                 [rng.choice((-3, -1, 1, 2, 5)) if rng.random() < 0.3 else 0 for _ in range(m)]
                 for _ in range(n)
             ]
+            before = [list(row) for row in rows]
             assert exact_rank(rows) == sympy.Matrix(rows).rank(), rows
             if n == m:
                 assert RationalMatrix(rows).determinant() == det_by_cofactors(rows), rows
+                assert exact_determinant(rows) == det_by_cofactors(rows), rows
+            assert rows == before
 
     def test_rank_of_rectangular(self):
         m = RationalMatrix([[1, 2, 3], [2, 4, 6]])
         assert m.rank() == 1
+
+    def test_empty_determinant_is_one(self):
+        assert exact_determinant([]) == 1
+        assert RationalMatrix([]).determinant() == 1
 
     def test_fractional_entries(self):
         m = RationalMatrix([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(2, 7)]])
@@ -112,6 +122,10 @@ class TestRankDetPfaffian:
     def test_shape_errors(self):
         with pytest.raises(ShapeMismatch):
             RationalMatrix([[1, 2]]).determinant()
+        with pytest.raises(ShapeMismatch):
+            exact_determinant([[1, 2]])
+        with pytest.raises(ShapeMismatch):
+            exact_determinant([[1], [2]])
         with pytest.raises(ShapeMismatch):
             pfaffian_expansion([[0] * 3 for _ in range(3)], 0)
 
@@ -148,6 +162,48 @@ class TestKernel:
                 for _ in range(nrows)
             ]
             assert RationalMatrix(rows).kernel() == sympy_nullspace(rows)
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.data())
+    def test_sparse_kernel_matches_sympy_nullspace(self, data):
+        # sympy's nullspace shares no code with linalg and also sets each
+        # free coordinate to 1.  Rows are sparse dicts of ints or Fractions;
+        # shapes include empty rows, all-zero columns and more rows than
+        # columns, and some rows repeat combinations of earlier ones so that
+        # ranks drop.  The rows must come back unchanged.
+        nrows, ncols = data.draw(st.integers(0, 10)), data.draw(st.integers(1, 7))
+        entry = st.one_of(
+            st.just(0),
+            st.just(0),
+            st.integers(-4, 4),
+            st.fractions(min_value=-5, max_value=5, max_denominator=6),
+        )
+        zero_cols = data.draw(st.sets(st.integers(0, ncols - 1), max_size=ncols))
+        rows = [
+            [0 if j in zero_cols else data.draw(entry) for j in range(ncols)] for _ in range(nrows)
+        ]
+        for i in range(2, nrows):
+            if data.draw(st.booleans()):
+                a, b = data.draw(st.integers(-2, 2)), data.draw(st.integers(-2, 2))
+                rows[i] = [a * x + b * y for x, y in zip(rows[i - 1], rows[i - 2])]
+        sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
+        before = [dict(row) for row in sparse]
+        basis = sparse_kernel(sparse, ncols)
+        assert basis == sympy_nullspace(rows or [[0] * ncols])
+        assert all(type(x) is Fraction for v in basis for x in v)
+        assert len(sparse_echelon(sparse)) == ncols - len(basis)
+        assert sparse == before
+
+    def test_echelon_rows_are_primitive_integers(self):
+        # denominators cleared and each pivot row divided by its gcd; each
+        # pivot row's leftmost entry sits in its pivot column
+        rows = [{0: Fraction(1, 2), 2: Fraction(3, 4)}, {0: 4, 1: 6, 2: 8}, {1: Fraction(2, 3)}]
+        pivots = sparse_echelon(rows)
+        assert sorted(pivots) == [0, 1, 2]
+        for c, row in pivots.items():
+            assert min(row) == c
+            assert all(type(x) is int for x in row.values())
+            assert math.gcd(*row.values()) == 1
 
 
 class TestModP:
