@@ -13,7 +13,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .cohomology import ce_cohomology_dims, CE_DIM_BOUND
+from .cohomology import ce_cohomology_dims
 from .complexes import betti_numbers, check_homology_dimension, complex_from_json, order_complex
 from .contact import (
     ContactSequence,
@@ -194,12 +194,8 @@ def cmd_homology(args) -> int:
     report["betti"] = betti_numbers(K)
     report["reduced_betti"] = betti_numbers(K, reduced=True)
     report["euler_characteristic"] = K.euler_characteristic()
-    if args.cohomology and "poset" in report:
-        if P.n >= 2:
-            alg = build_type_a(P)
-            if alg.dim <= CE_DIM_BOUND:
-                h0, h1, h2 = ce_cohomology_dims(alg)
-                report["ce_cohomology"] = [h0, h1, h2]
+    if args.cohomology and "poset" in report and P.n >= 2:
+        report["ce_cohomology"] = list(ce_cohomology_dims(build_type_a(P)))
     _emit(report, args.format)
     return EXIT_OK
 

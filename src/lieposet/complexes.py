@@ -84,12 +84,12 @@ def order_complex(P: Poset) -> SimplicialComplex:
     return SimplicialComplex(chains)
 
 
-def boundary_matrix(K: SimplicialComplex, dim: int) -> list[list[int]]:
-    """The boundary map from dim-faces to (dim-1)-faces, as integer rows."""
+def boundary_matrix(K: SimplicialComplex, dim: int) -> list[dict[int, int]]:
+    """The boundary map from dim-faces to (dim-1)-faces, as sparse integer
+    rows, one per (dim-1)-face, each a dict from dim-face index to sign."""
     lower = {f: i for i, f in enumerate(K.faces(dim - 1))}
-    upper = K.faces(dim)
-    rows = [[0] * len(upper) for _ in lower]
-    for j, face in enumerate(upper):
+    rows: list[dict[int, int]] = [{} for _ in lower]
+    for j, face in enumerate(K.faces(dim)):
         for drop in range(len(face)):
             sub = face[:drop] + face[drop + 1:]
             rows[lower[sub]][j] = (-1) ** drop

@@ -23,7 +23,7 @@ from .errors import (
     SizeBound,
     TooSmall,
 )
-from .linalg import Poly, RationalMatrix, rank_mod_p, sparse_echelon, sparse_kernel, symbolic_rank
+from .linalg import Poly, RationalMatrix, exact_rank, rank_mod_p, sparse_kernel, symbolic_rank
 from .posets import Poset, _bits, extremal_data, interior_shape, is_forest, json_int, up_down
 
 SYMBOLIC_INDEX_BOUND = 8
@@ -502,4 +502,4 @@ def center(alg: LieAlgebra) -> list[tuple[Fraction, ...]]:
 def center_dim(alg: LieAlgebra) -> int:
     """dim of the center: dim minus the rank of the same equations, from
     the forward elimination alone, with no basis vector built."""
-    return alg.dim - len(sparse_echelon(_center_equations(alg)))
+    return alg.dim - exact_rank(_center_equations(alg))

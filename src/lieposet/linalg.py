@@ -1,21 +1,18 @@
 """Exact linear algebra over the rationals, plus a small multivariate
 polynomial ring for symbolic rank and Pfaffian certificates.
 
-The exact core works on integer rows: `exact_rank` and `exact_determinant`
-are fraction-free Bareiss elimination on dense rows, which `cohomology`,
-`complexes` and `lieposet build` hand them straight, with no Fraction round
-trip.  Kirillov matrices arrive as sparse rows, one dict of nonzero integer
-entries per row: `rank_mod_p` is a sparse elimination over F_p on them, and
-`rank_at_least` (with `nonsingular`, full rank) tries it first and writes
-the rows out densely for `exact_rank` only when the rank modulo p falls
-short.
-`RationalMatrix` clears each row's denominators and runs the same
-elimination for its rank and determinant.  Kernels (`sparse_kernel`, on
-sparse rows of ints or Fractions) are exact forward elimination over the
-integers with a column index (`sparse_echelon`), then back-substitution for
-each free column, the one step that makes Fractions.  Pfaffians use a
-division-free expansion, which works over any commutative ring, polynomials
-included.
+Matrices arrive as sparse rows, one dict of nonzero entries (ints or
+Fractions) per row.  Every exact rank is `exact_rank`: forward elimination
+over the integers with a column index (`sparse_echelon`), which clears each
+row's denominators and keeps it primitive.  `sparse_kernel` adds
+back-substitution for each free column, the one step that makes Fractions.
+`rank_mod_p` is a sparse elimination over F_p, and `rank_at_least` (with
+`nonsingular`, full rank) tries it first and falls back to `exact_rank` on
+the same rows only when the rank modulo p falls short.  The one dense path
+is `exact_determinant`, fraction-free Bareiss elimination on integer rows,
+which `lieposet build` and `RationalMatrix.determinant` use.  Pfaffians use
+a division-free expansion, which works over any commutative ring,
+polynomials included.
 """
 
 from __future__ import annotations
@@ -78,7 +75,7 @@ class RationalMatrix:
     # -- elimination ---------------------------------------------------------
 
     def rank(self) -> int:
-        return exact_rank(self._int_rows()[0])
+        return exact_rank(self._sparse_rows())
 
     def determinant(self) -> Fraction:
         if self.rows != self.cols:
@@ -88,8 +85,10 @@ class RationalMatrix:
 
     def kernel(self) -> list[tuple[Fraction, ...]]:
         """A basis of the right kernel, as `sparse_kernel` gives it."""
-        rows = [{j: x for j, x in enumerate(row) if x} for row in self.data]
-        return sparse_kernel(rows, self.cols)
+        return sparse_kernel(self._sparse_rows(), self.cols)
+
+    def _sparse_rows(self) -> list[dict[int, Fraction]]:
+        return [{j: x for j, x in enumerate(row) if x} for row in self.data]
 
 
 def sparse_echelon(rows: list[dict[int, object]]) -> dict[int, dict[int, int]]:
@@ -184,49 +183,6 @@ def sparse_kernel(rows: list[dict[int, object]], ncols: int) -> list[tuple[Fract
     return basis
 
 
-def _bareiss_echelon(rows: list[list[int]]) -> tuple[int, int, int]:
-    """Fraction-free Bareiss elimination on integer rows, in place.
-
-    Returns (rank, swap sign, last pivot value).  A row with a zero in the
-    pivot column is left as it is: Bareiss would only multiply it by
-    pivot / previous pivot, and over consecutive steps those factors
-    telescope.  So each row keeps the pivot of the step that last updated
-    it (`stamp`), and stands for itself times current pivot / stamp.  Its
-    next update, (pc * row - ric * pivot row) / stamp, is then the Bareiss
-    row exactly, and a row is brought up to date before it serves as a
-    pivot.  Below the pivot row every entry left of the pivot column is
-    zero, so each update runs over the whole row.
-    """
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    stamp = [1] * nrows
-    prev = 1
-    sign = 1
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if piv is None:
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-            stamp[r], stamp[piv] = stamp[piv], stamp[r]
-            sign = -sign
-        if stamp[r] != prev:
-            rows[r] = [a * prev // stamp[r] for a in rows[r]]
-        row_r = rows[r]
-        pc = row_r[c]
-        for i in range(r + 1, nrows):
-            ric = rows[i][c]
-            if ric:
-                rows[i] = [(pc * a - ric * b) // stamp[i] for a, b in zip(rows[i], row_r)]
-                stamp[i] = pc
-        prev = pc
-        r += 1
-    return r, sign, prev
-
-
 # A fixed prime, so every rank mod p, and with it every sampled verdict
 # and every report, reproduces.
 _MODP_PRIME = 2147483629
@@ -267,22 +223,52 @@ def rank_mod_p(rows: list[dict[int, int]]) -> int:
     return rank
 
 
-def exact_rank(int_rows: list[list[int]]) -> int:
-    """Rank over Q of an integer matrix, by fraction-free Bareiss
-    elimination on a copy of its rows.  All-zero rows are dropped first;
-    they cannot hold a pivot."""
-    return _bareiss_echelon([list(row) for row in int_rows if any(row)])[0]
+def exact_rank(rows: list[dict[int, object]]) -> int:
+    """Rank over Q of the matrix whose rows are given as dicts of their
+    nonzero entries (ints or Fractions; left unchanged): the number of
+    pivots of `sparse_echelon`."""
+    return len(sparse_echelon(rows))
 
 
 def exact_determinant(int_rows: list[list[int]]) -> int:
     """Determinant of a square integer matrix, by fraction-free Bareiss
     elimination on a copy of its rows: the swap sign times the last pivot,
-    or 0 when the rank falls short."""
+    or 0 at the first column that holds no pivot.
+
+    A row with a zero in the pivot column is left as it is: Bareiss would
+    only multiply it by pivot / previous pivot, and over consecutive steps
+    those factors telescope.  So each row keeps the pivot of the step that
+    last updated it (`stamp`), and stands for itself times current pivot /
+    stamp.  Its next update, (pc * row - ric * pivot row) / stamp, is then
+    the Bareiss row exactly, and a row is brought up to date before it
+    serves as a pivot.  Below the pivot row every entry left of the pivot
+    column is zero, so each update runs over the whole row."""
     n = len(int_rows)
     if any(len(row) != n for row in int_rows):
         raise ShapeMismatch("determinant needs a square matrix")
-    r, sign, last = _bareiss_echelon([list(row) for row in int_rows])
-    return sign * last if r == n else 0
+    rows = [list(row) for row in int_rows]
+    stamp = [1] * n
+    prev = 1
+    sign = 1
+    for c in range(n):
+        piv = next((i for i in range(c, n) if rows[i][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            stamp[c], stamp[piv] = stamp[piv], stamp[c]
+            sign = -sign
+        if stamp[c] != prev:
+            rows[c] = [a * prev // stamp[c] for a in rows[c]]
+        row_c = rows[c]
+        pc = row_c[c]
+        for i in range(c + 1, n):
+            ric = rows[i][c]
+            if ric:
+                rows[i] = [(pc * a - ric * b) // stamp[i] for a, b in zip(rows[i], row_c)]
+                stamp[i] = pc
+        prev = pc
+    return sign * prev
 
 
 def nonsingular(rows: list[dict[int, int]]) -> bool:
@@ -297,11 +283,8 @@ def nonsingular(rows: list[dict[int, int]]) -> bool:
 def rank_at_least(rows: list[dict[int, int]], k: int) -> bool:
     """rank >= k for an integer matrix given as dicts of its nonzero
     entries.  The rank modulo p decides at once when it reaches k;
-    otherwise `exact_rank` decides on the rows written out densely."""
-    if rank_mod_p(rows) >= k:
-        return True
-    ncols = 1 + max((j for row in rows for j in row), default=-1)
-    return exact_rank([[row.get(j, 0) for j in range(ncols)] for row in rows]) >= k
+    otherwise `exact_rank` decides on the same sparse rows."""
+    return rank_mod_p(rows) >= k or exact_rank(rows) >= k
 
 
 def pfaffian_expansion(mat, zero, is_zero=None):

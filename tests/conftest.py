@@ -140,7 +140,8 @@ def ce_ranks_sympy(g) -> tuple[int, int, int]:
     (for k = 1: d f(x, y) = [x, f(y)] - [y, f(x)] - f([x, y])), one sympy
     column per basis cochain e_{S -> t} and one row per (T, s) with
     |T| = k + 1, ranked by sympy's sparse elimination over QQ.  Shares no
-    code with the weight-blocked assembly in `cohomology`."""
+    code with the assembly in `cohomology`, which works on the integer
+    table and bitmask signs."""
     from itertools import combinations
 
     from sympy import QQ

@@ -296,6 +296,35 @@ class TestHomology:
         code, _ = run_cli(capsys, "homology", path)
         assert code == 4
 
+    def test_cohomology_size_bound_exit(self, capsys, tmp_path):
+        # within the bound the report carries the cohomology; a dim-15
+        # algebra (past the bound of 14) must end in exit 4, not drop it
+        small = write_json(tmp_path, "fork.json", {"n": 3, "relations": [[1, 3], [2, 3]]})
+        code, out = run_cli(capsys, "homology", "--cohomology", small)
+        assert code == 0
+        assert json.loads(out)["ce_cohomology"] == [0, 0, 0]
+        rel = [[1, 6], [2, 6], [3, 6], [4, 6], [5, 6], [1, 5], [2, 5], [3, 5], [4, 5], [1, 4]]
+        big = write_json(tmp_path, "dim15.json", {"n": 6, "relations": rel})
+        code, out = run_cli(capsys, "homology", "--cohomology", big)
+        assert code == 4
+        assert json.loads(out)["error"]["type"] == "SizeBound"
+
+    def test_large_star_in_linear_memory(self, capsys, tmp_path):
+        # the boundary rows of a 2,000-leaf star stay sparse: the hub's
+        # row holds 2,000 entries, not a 2,001 x 2,000 dense matrix
+        rel = [[1, j] for j in range(2, 2002)]
+        path = write_json(tmp_path, "star.json", {"n": 2001, "relations": rel})
+        tracemalloc.start()
+        try:
+            code = main(["homology", path])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert report["betti"] == [1, 0]
+        assert peak < 20 * 2**20
+
     @pytest.mark.parametrize(
         "data",
         [

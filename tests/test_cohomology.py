@@ -29,6 +29,19 @@ class TestSmallCases:
         # all differentials vanish: H^k = dim C^k
         assert ce_cohomology_dims(build_raw(2, [])) == (2, 4, 2)
 
+    @pytest.mark.parametrize(
+        "brackets, dims",
+        [
+            # sl2 (h, e, f): semisimple, so H^0 = H^1 = H^2 = 0 (Whitehead)
+            ([(1, 2, {2: 2}), (1, 3, {3: -2}), (2, 3, {1: 1})], (0, 0, 0)),
+            # the Heisenberg algebra h3: [x, y] = z
+            ([(1, 2, {3: 1})], (1, 4, 5)),
+        ],
+    )
+    def test_raw_algebras_off_the_poset_path(self, brackets, dims):
+        g = build_raw(3, brackets)
+        assert ce_cohomology_dims(g) == dims == dims_from_ranks(3, ce_ranks_sympy(g))
+
     def test_complete_111_is_rigid(self):
         g = build_type_a(complete_poset([1, 1, 1]))
         assert ce_cohomology_dims(g)[2] == 0
@@ -68,6 +81,7 @@ class TestWeightBlocking:
     )
     def test_blocked_ranks_match_unblocked(self, rel):
         # the sympy oracle assembles each differential from bracket() alone
+        # and ranks it whole, with no torus-weight bookkeeping
         n = max((max(p) for p in rel), default=2)
         P = make_poset(max(n, 2), rel)
         g = build_type_a(P)
@@ -75,7 +89,7 @@ class TestWeightBlocking:
 
     def test_halved_brackets_match_oracle(self):
         # denominator 2: the integer table is twice the bracket, which must
-        # not move any rank; one weight block, since raw algebras carry none
+        # not move any rank; raw algebras carry no torus weights
         g = build_type_a(make_poset(3, [(1, 2), (2, 3)]))
         halved = build_raw(
             g.dim,

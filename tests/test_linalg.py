@@ -91,6 +91,7 @@ class TestRankDetPfaffian:
     def test_sparse_integer_rank_and_determinant(self):
         # sparse rows keep zeros in many pivot columns, so rows wait several
         # steps before their next update: the deferred Bareiss scaling path
+        # of the determinant, and fill and cancellation in `exact_rank`
         import sympy
 
         rng = random.Random(12)
@@ -101,7 +102,9 @@ class TestRankDetPfaffian:
                 for _ in range(n)
             ]
             before = [list(row) for row in rows]
-            assert exact_rank(rows) == sympy.Matrix(rows).rank(), rows
+            sparse = sparse_rows(rows)
+            assert exact_rank(sparse) == sympy.Matrix(rows).rank(), rows
+            assert sparse == sparse_rows(before)
             if n == m:
                 assert RationalMatrix(rows).determinant() == det_by_cofactors(rows), rows
                 assert exact_determinant(rows) == det_by_cofactors(rows), rows
