@@ -26,7 +26,6 @@ from .errors import (
     ShapeMismatch,
 )
 from .liealg import (
-    Elem,
     Functional,
     LieAlgebra,
     build_type_a,
@@ -35,7 +34,7 @@ from .liealg import (
     random_functional,
     symbolic_kirillov,
 )
-from .linalg import Poly, nonsingular, pfaffian_expansion, rank_at_least
+from .linalg import nonsingular, pfaffian_expansion, rank_at_least
 from .posets import (
     Poset,
     _bits,
@@ -382,9 +381,8 @@ def validate_contact_sequence(seq: ContactSequence) -> None:
             raise InvalidSequence(k, f"rule {s.rule} does not apply to block {s.block}")
 
 
-def replay_sequence(seq: ContactSequence, validate: bool = True) -> Replay:
-    if validate:
-        validate_contact_sequence(seq)
+def replay_sequence(seq: ContactSequence) -> Replay:
+    validate_contact_sequence(seq)
     rep = Replay.start(seq.steps[0].block)
     for k, step in enumerate(seq.steps[1:], start=1):
         try:
@@ -467,22 +465,19 @@ def cycle_obstruction(P: Poset) -> Optional[list[int]]:
     return None if acyclic else cycle
 
 
-def expected_kernel_coords(
-    P: Poset, block_min: int, block_mid: int, alg: Optional[LieAlgebra] = None
-) -> list[int]:
+def expected_kernel_coords(P: Poset, block_min: int, block_mid: int) -> list[int]:
     """Integer coordinates of the predicted kernel generator over the type-A basis
 
         sum over p of E_{p,p}  (p != b)  +  (1 - |P|) E_{b,b}  +  |P| E_{a,b}
 
     where a = block_min and b = block_mid locate the sequence's P(1,1,1)
-    block inside P.  Trace-zero by construction."""
+    block inside P.  Trace-zero by construction.  The basis is that of
+    `build_type_a`: the n - 1 diagonals, then one E_{p,q} per relation in
+    the order of P.pairs."""
     n = P.n
-    if alg is None:
-        alg = build_type_a(P)
-    coords = [0] * alg.dim
-    for p in range(2, n + 1):
-        coords[p - 2] = n - 1 if p == block_mid else -1
-    coords[alg.basis.index(Elem(block_min, block_mid))] = n
+    coords = [-1] * (n - 1) + [0] * len(P.pairs)
+    coords[block_mid - 2] = n - 1
+    coords[n - 1 + P.pairs.index((block_min, block_mid))] = n
     return coords
 
 
@@ -527,7 +522,7 @@ def verify_replay(rep: Replay) -> bool:
     """
     alg = build_type_a(rep.poset)
     r0 = rep.roles[0]
-    coords = expected_kernel_coords(rep.poset, r0["x"], r0["m"], alg=alg)
+    coords = expected_kernel_coords(rep.poset, r0["x"], r0["m"])
     rows, _ = kirillov_rows(alg, contact_form_from_replay(rep), bordered=True)
     return _annihilates(rows, coords, off=1) and nonsingular(rows)
 
@@ -827,10 +822,8 @@ def is_contact(alg: LieAlgebra, trials: int = 3, seed: int = 0, bound: int = 10*
             "not-contact-certified", reason=cls.obstruction.message
         )
     if alg.dim <= SYMBOLIC_PFAFFIAN_BOUND:
-        mat, _keys = symbolic_kirillov(alg, bordered=True)
-        nv = mat[0][0].nvars
-        pf = pfaffian_expansion(mat, Poly.zero(nv), is_zero=lambda p: p.is_zero())
-        if pf.is_zero():
+        mat = symbolic_kirillov(alg, bordered=True)
+        if not pfaffian_expansion(mat, mat[0][0]):
             return ContactVerdict(
                 "not-contact-certified",
                 reason="extended Pfaffian identically zero",

@@ -176,8 +176,11 @@ def build_raw(dim: int, brackets) -> LieAlgebra:
     """Algebra with opaque basis e_1..e_dim from a list of
     (i, j, coords) entries, 1-based; Jacobi is verified for dim <= 30.
 
-    Entries given for both (i, j) and (j, i) must agree under antisymmetry.
+    Entries given for both (i, j) and (j, i) must agree under antisymmetry;
+    a negative dimension raises OutOfRange.
     """
+    if dim < 0:
+        raise OutOfRange(f"dimension {dim} is negative")
     table: dict[tuple[int, int], dict[int, Fraction]] = {}
     for i, j, coords in brackets:
         if not (1 <= i <= dim and 1 <= j <= dim):
@@ -351,15 +354,13 @@ def extended_matrix(alg: LieAlgebra, phi: Functional) -> RationalMatrix:
     return _dense(*kirillov_rows(alg, phi, bordered=True))
 
 
-def symbolic_kirillov(alg: LieAlgebra, bordered: bool = False) -> tuple[list[list[Poly]], list]:
+def symbolic_kirillov(alg: LieAlgebra, bordered: bool = False) -> list[list[Poly]]:
     """Kirillov matrix with one polynomial variable per dual coefficient,
     bordered by the generic form's values when `bordered` is set.
 
     The entries are taken on the integer table, so the body is the
     denominator times the Kirillov matrix; neither its rank nor whether the
     bordered Pfaffian vanishes depends on that scale.
-
-    Returns (matrix, ordered dual keys).
     """
     keys = dual_positions(alg)
     key_index = {k: i for i, k in enumerate(keys)}
@@ -384,7 +385,7 @@ def symbolic_kirillov(alg: LieAlgebra, bordered: bool = False) -> tuple[list[lis
         m[j][i] = -entry
     if bordered:
         m = [[zero] + vals] + [[-vals[i]] + m[i] for i in range(alg.dim)]
-    return m, keys
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -443,14 +444,12 @@ def index(alg: LieAlgebra, trials: int = 3, seed: int = 0, bound: int = 10**6) -
 
 
 def index_certified(alg: LieAlgebra) -> int:
-    """Exact index by symbolic rank over the rational function field;
+    """Exact index by the symbolic rank of the Kirillov matrix over the
+    rational function field (its largest nonzero principal Pfaffian);
     desk-scale guard dim <= 8."""
     if alg.dim > SYMBOLIC_INDEX_BOUND:
         raise SizeBound(f"symbolic index limited to dim <= {SYMBOLIC_INDEX_BOUND}")
-    if alg.dim == 0:
-        return 0
-    m, _ = symbolic_kirillov(alg)
-    return alg.dim - symbolic_rank(m)
+    return alg.dim - symbolic_rank(symbolic_kirillov(alg))
 
 
 def index_formula_h2(P: Poset) -> int:

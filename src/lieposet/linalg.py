@@ -8,16 +8,19 @@ row's denominators and keeps it primitive.  `sparse_kernel` adds
 back-substitution for each free column, the one step that makes Fractions.
 `rank_mod_p` is a sparse elimination over F_p, and `rank_at_least` (with
 `nonsingular`, full rank) tries it first and falls back to `exact_rank` on
-the same rows only when the rank modulo p falls short.  The one dense path
-is `exact_determinant`, fraction-free Bareiss elimination on integer rows,
-which `lieposet build` and `RationalMatrix.determinant` use.  Pfaffians use
-a division-free expansion, which works over any commutative ring,
-polynomials included.
+the same rows only when the rank modulo p falls short.  The one dense
+elimination is `exact_determinant`, fraction-free Bareiss elimination on
+integer rows, which `lieposet build` and `RationalMatrix.determinant` use.
+Both symbolic certificates are principal Pfaffians of a skew matrix, by one
+memoized division-free expansion that works over any commutative ring,
+polynomials included: `pfaffian_expansion` takes the whole matrix, and
+`symbolic_rank` the largest principal submatrix whose Pfaffian is nonzero.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm, prod
 from typing import Sequence
 
@@ -287,41 +290,63 @@ def rank_at_least(rows: list[dict[int, int]], k: int) -> bool:
     return rank_mod_p(rows) >= k or exact_rank(rows) >= k
 
 
-def pfaffian_expansion(mat, zero, is_zero=None):
-    """Pfaffian by recursive expansion along the first remaining row.
+def _principal_pfaffians(mat):
+    """The Pfaffian of each principal submatrix of the skew matrix `mat`,
+    as a function of its increasing tuple of (an even number, at least two,
+    of) row indices, by expansion along the first of them.
 
-    Division-free, so it works over any commutative ring: entries need only
-    +, -, * (used as the independent oracle for numeric Pfaffians and for the
-    symbolic identically-zero certificate).
-    """
-    n = len(mat)
-    if n % 2:
-        raise ShapeMismatch("pfaffian needs even size")
-    if is_zero is None:
-        is_zero = lambda x: not x
+    One memo serves every subset, so a sub-Pfaffian shared by several
+    principal submatrices is expanded once.  Division-free, so it works
+    over any commutative ring: entries need only +, -, * and truth, and
+    the diagonal entry mat[0][0] serves as the ring's zero."""
+    zero = mat[0][0]
     memo: dict[tuple, object] = {}
 
     def pf(cols: tuple) -> object:
-        if not cols:
-            return None  # sentinel: multiply by nothing
-        if cols in memo:
-            return memo[cols]
-        a = cols[0]
-        rest = cols[1:]
-        total = zero
-        sign = 1
-        for t, b in enumerate(rest):
-            entry = mat[a][b]
-            if not is_zero(entry):
-                sub = pf(rest[:t] + rest[t + 1:])
-                term = entry if sub is None else entry * sub
-                total = total + term if sign > 0 else total - term
-            sign = -sign
-        memo[cols] = total
-        return total
+        if len(cols) == 2:
+            return mat[cols[0]][cols[1]]
+        out = memo.get(cols)
+        if out is None:
+            a, rest = cols[0], cols[1:]
+            out = zero
+            for t, b in enumerate(rest):
+                if mat[a][b]:
+                    term = mat[a][b] * pf(rest[:t] + rest[t + 1:])
+                    out = out - term if t % 2 else out + term
+            memo[cols] = out
+        return out
 
-    out = pf(tuple(range(n)))
-    return zero if out is None else out
+    return pf
+
+
+def pfaffian_expansion(mat, zero):
+    """Pfaffian of a skew matrix of even size, by `_principal_pfaffians`
+    (`zero` for the empty matrix).  The independent oracle for numeric
+    Pfaffians and the symbolic identically-zero certificate."""
+    n = len(mat)
+    if n % 2:
+        raise ShapeMismatch("pfaffian needs even size")
+    return _principal_pfaffians(mat)(tuple(range(n))) if n else zero
+
+
+def symbolic_rank(mat) -> int:
+    """Rank of a skew-symmetric matrix (ints, Fractions or `Poly`s, the
+    latter over the rational function field): the largest size of a
+    principal submatrix whose Pfaffian is nonzero, which is exactly the
+    rank of a skew matrix.  Sizes are tried from the largest even one down,
+    over one shared memo of sub-Pfaffians."""
+    n = len(mat)
+    if any(len(row) != n for row in mat) or any(
+        mat[i][j] + mat[j][i] for i in range(n) for j in range(i, n)
+    ):
+        raise ShapeMismatch("symbolic rank needs a square skew-symmetric matrix")
+    if n < 2:
+        return 0
+    pf = _principal_pfaffians(mat)
+    for k in range(n - n % 2, 0, -2):
+        if any(pf(cols) for cols in combinations(range(n), k)):
+            return k
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -343,17 +368,9 @@ class Poly:
         return cls(nvars)
 
     @classmethod
-    def constant(cls, c, nvars: int) -> "Poly":
-        c = _as_fraction(c)
-        return cls(nvars, {(0,) * nvars: c} if c else {})
-
-    @classmethod
     def variable(cls, i: int, nvars: int) -> "Poly":
         mono = tuple(1 if k == i else 0 for k in range(nvars))
         return cls(nvars, {mono: Fraction(1)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __bool__(self):
         return bool(self.terms)
@@ -390,35 +407,6 @@ class Poly:
     def _key(mono: tuple) -> tuple:
         return (sum(mono), mono)  # graded lexicographic
 
-    def _lead(self) -> tuple[tuple, Fraction]:
-        m = max(self.terms, key=self._key)
-        return m, self.terms[m]
-
-    def exact_div(self, other: "Poly") -> "Poly":
-        """Exact division; raises ArithmeticError when the division does not
-        come out even (never happens inside Bareiss elimination)."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        lead_m, lead_c = other._lead()
-        num = dict(self.terms)
-        quo: dict[tuple, Fraction] = {}
-        while num:
-            m = max(num, key=self._key)
-            c = num[m]
-            qm = tuple(a - b for a, b in zip(m, lead_m))
-            if any(e < 0 for e in qm):
-                raise ArithmeticError("inexact polynomial division")
-            qc = c / lead_c
-            quo[qm] = quo.get(qm, Fraction(0)) + qc
-            for m2, c2 in other.terms.items():
-                mm = tuple(a + b for a, b in zip(qm, m2))
-                nv = num.get(mm, Fraction(0)) - qc * c2
-                if nv:
-                    num[mm] = nv
-                else:
-                    num.pop(mm, None)
-        return Poly(self.nvars, quo)
-
     def __repr__(self):
         if not self.terms:
             return "Poly(0)"
@@ -432,31 +420,3 @@ class Poly:
             )
             parts.append(f"{c}" + (f"*{vars_part}" if vars_part else ""))
         return "Poly(" + " + ".join(parts) + ")"
-
-
-def symbolic_rank(mat: list[list[Poly]]) -> int:
-    """Rank over the rational function field, by fraction-free Bareiss
-    elimination with polynomial entries."""
-    if not mat:
-        return 0
-    rows = [list(r) for r in mat]
-    nrows, ncols = len(rows), len(rows[0])
-    nvars = rows[0][0].nvars
-    prev: Poly | None = None
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if not rows[i][c].is_zero()), None)
-        if piv is None:
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                t = rows[r][c] * rows[i][j] - rows[i][c] * rows[r][j]
-                rows[i][j] = t if prev is None else t.exact_div(prev)
-            rows[i][c] = Poly.zero(nvars)
-        prev = rows[r][c]
-        r += 1
-    return r

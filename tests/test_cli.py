@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -10,7 +11,8 @@ import pytest
 import lieposet
 from conftest import cycles_equal
 from lieposet.cli import main
-from lieposet.posets import poset_to_json
+from lieposet.liealg import build_type_a, index_formula_h2
+from lieposet.posets import make_poset, poset_to_json
 
 
 def run_cli(capsys, *argv):
@@ -256,6 +258,7 @@ class TestIndexCommand:
             {"dim": 3, "brackets": [[1, 2, 5]]},
             {"dim": 3, "brackets": [[1, 2, {"9": 1}]]},
             {"dim": 3, "brackets": [[1, 2, {"3": 0.5}]]},
+            {"dim": -1, "brackets": []},
         ],
     )
     def test_malformed_raw_algebra_exits_two(self, capsys, tmp_path, data):
@@ -263,6 +266,46 @@ class TestIndexCommand:
         code, out = run_cli(capsys, "index", "--seed", "5", path)
         assert code == 2
         assert "error" in json.loads(out)
+
+    def test_dense_raw_poset_algebra_certifies(self, capsys, tmp_path):
+        # a dim-8 poset algebra entered as a raw algebra in a seeded
+        # unimodular basis, so every Kirillov entry is a dense linear form:
+        # the certified index is the poset's formula index
+        P = make_poset(4, [(1, 2), (1, 3), (2, 4), (3, 4)])
+        alg = build_type_a(P)
+        path = write_json(tmp_path, "dense.json", _in_unimodular_basis(alg, random.Random(3)))
+        code, out = run_cli(capsys, "index", "--seed", "5", path)
+        assert code == 0
+        report = json.loads(out)
+        assert report["dim"] == 8
+        assert report["certified"] == report["randomized"] == index_formula_h2(P) == 2
+
+
+def _in_unimodular_basis(alg, rng) -> dict:
+    """Raw-algebra JSON of `alg` in the basis f_i = sum_k U[i][k] b_k, for U
+    a product of random integer elementary matrices (so U^-1 is integral):
+    [f_i, f_j] = sum_t w_t f_t with w = (coordinates over b) U^-1."""
+    d = alg.dim
+    U = [[int(i == j) for j in range(d)] for i in range(d)]
+    Uinv = [row[:] for row in U]
+    for _ in range(3 * d):
+        i, j = rng.sample(range(d), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+        for row in Uinv:
+            row[j] -= c * row[i]
+    brackets = []
+    for i in range(d):
+        for j in range(i + 1, d):
+            v = [0] * d
+            for k in range(d):
+                for m in range(d):
+                    for t, c in alg.bracket(k, m).items():
+                        v[t] += U[i][k] * U[j][m] * c
+            w = {str(t + 1): str(x) for t in range(d) if (x := sum(v[k] * Uinv[k][t] for k in range(d)))}
+            if w:
+                brackets.append([i + 1, j + 1, w])
+    return {"dim": d, "brackets": brackets}
 
 
 class TestHomology:
