@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .cohomology import ce_cohomology_dims
 from .complexes import betti_numbers, check_homology_dimension, complex_from_json, order_complex
@@ -35,7 +34,7 @@ from .liealg import (
     raw_from_json,
     SYMBOLIC_INDEX_BOUND,
 )
-from .linalg import exact_determinant
+from .linalg import sparse_determinant
 from .posets import is_forest, poset_from_json, poset_to_dot, poset_to_json
 from .sweep import run_sweep
 
@@ -137,8 +136,7 @@ def cmd_build(args) -> int:
     alg = build_type_a(P)
     phi = contact_form_from_replay(rep)
     rows, s = kirillov_rows(alg, phi, bordered=True)
-    size = len(rows)
-    det = Fraction(exact_determinant([[row.get(j, 0) for j in range(size)] for row in rows]), s**size)
+    det = sparse_determinant(rows) / s ** len(rows)
     r0 = rep.roles[0]
     coords = expected_kernel_coords(P, r0["x"], r0["m"])
     report = {

@@ -823,7 +823,7 @@ def is_contact(alg: LieAlgebra, trials: int = 3, seed: int = 0, bound: int = 10*
         )
     if alg.dim <= SYMBOLIC_PFAFFIAN_BOUND:
         mat = symbolic_kirillov(alg, bordered=True)
-        if not pfaffian_expansion(mat, mat[0][0]):
+        if not pfaffian_expansion(mat):
             return ContactVerdict(
                 "not-contact-certified",
                 reason="extended Pfaffian identically zero",

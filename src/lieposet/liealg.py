@@ -9,6 +9,7 @@ the strict relations (p, q), in lexicographic order.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -212,16 +213,17 @@ def build_raw(dim: int, brackets) -> LieAlgebra:
 
 def raw_from_json(data: dict) -> LieAlgebra:
     """build_raw from {"dim": d, "brackets": [[i, j, {"t": c, ...}], ...]},
-    with integer indices and integer or string coefficients; malformed
-    input raises OutOfRange."""
+    with integer indices and integer or "a" / "a/b" string coefficients in
+    decimal digits (`Fraction` would also expand "1e10000000" into a
+    33-million-bit integer); malformed input raises OutOfRange."""
     try:
         dim = json_int(data["dim"])
         entries = []
         for i, j, coords in data["brackets"]:
             vec = {}
             for t, c in coords.items():
-                if type(c) not in (int, str):
-                    raise TypeError(f"coefficient {c!r} is not an integer or a string")
+                if type(c) is not int and not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", str(c)):
+                    raise TypeError(f"coefficient {c!r} is not an integer or a fraction a/b")
                 vec[int(t)] = Fraction(c)
             entries.append((json_int(i), json_int(j), vec))
     except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:

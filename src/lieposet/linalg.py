@@ -2,15 +2,13 @@
 polynomial ring for symbolic rank and Pfaffian certificates.
 
 Matrices arrive as sparse rows, one dict of nonzero entries (ints or
-Fractions) per row.  Every exact rank is `exact_rank`: forward elimination
-over the integers with a column index (`sparse_echelon`), which clears each
-row's denominators and keeps it primitive.  `sparse_kernel` adds
-back-substitution for each free column, the one step that makes Fractions.
-`rank_mod_p` is a sparse elimination over F_p, and `rank_at_least` (with
-`nonsingular`, full rank) tries it first and falls back to `exact_rank` on
-the same rows only when the rank modulo p falls short.  The one dense
-elimination is `exact_determinant`, fraction-free Bareiss elimination on
-integer rows, which `lieposet build` and `RationalMatrix.determinant` use.
+Fractions) per row.  There is one elimination, `_eliminate`, in one of two
+arithmetics: over F_p it gives `rank_mod_p`; over the integers it gives
+`sparse_echelon`, and from it `exact_rank`, `sparse_kernel` (which adds
+back-substitution, the one step that makes Fractions) and
+`sparse_determinant`.  `rank_at_least` (with `nonsingular`, full rank)
+tries the rank modulo p first and falls back to the exact rank on the
+same rows only when it falls short.
 Both symbolic certificates are principal Pfaffians of a skew matrix, by one
 memoized division-free expansion that works over any commutative ring,
 polynomials included: `pfaffian_expansion` takes the whole matrix, and
@@ -21,6 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from collections import defaultdict
 from math import gcd, lcm, prod
 from typing import Sequence
 
@@ -62,19 +61,6 @@ class RationalMatrix:
     def __repr__(self):
         return f"RationalMatrix({[list(map(str, r)) for r in self.data]})"
 
-    # -- integerization -----------------------------------------------------
-
-    def _int_rows(self) -> tuple[list[list[int]], list[int]]:
-        """Rows scaled to integers; returns (rows, per-row scale factors)."""
-        out, scales = [], []
-        for row in self.data:
-            denom = 1
-            for x in row:
-                denom = denom * x.denominator // gcd(denom, x.denominator)
-            out.append([int(x * denom) for x in row])
-            scales.append(denom)
-        return out, scales
-
     # -- elimination ---------------------------------------------------------
 
     def rank(self) -> int:
@@ -83,8 +69,7 @@ class RationalMatrix:
     def determinant(self) -> Fraction:
         if self.rows != self.cols:
             raise ShapeMismatch("determinant needs a square matrix")
-        rows, scales = self._int_rows()
-        return Fraction(exact_determinant(rows), prod(scales))
+        return sparse_determinant(self._sparse_rows())
 
     def kernel(self) -> list[tuple[Fraction, ...]]:
         """A basis of the right kernel, as `sparse_kernel` gives it."""
@@ -94,64 +79,108 @@ class RationalMatrix:
         return [{j: x for j, x in enumerate(row) if x} for row in self.data]
 
 
-def sparse_echelon(rows: list[dict[int, object]]) -> dict[int, dict[int, int]]:
-    """A row echelon form of the matrix whose rows are given as dicts of
-    their nonzero entries (ints or Fractions; the rows are left unchanged),
-    as pivot column -> pivot row, a primitive integer row whose leftmost
-    entry sits in that column.  Its size is the rank.
+def _eliminate(rows: list[dict[int, object]], p: int = 0):
+    """Forward elimination over F_p for a prime p, or over the integers for
+    p = 0, of the rows given as dicts of their nonzero entries (left
+    unchanged; Fractions only over the integers).  Over the integers rows
+    are cleared of denominators and kept primitive, and a holder is
+    multiplied by pivot / gcd(pivot, entry) before an update if need be.
 
-    Exact forward elimination over the integers: each row is cleared of
-    denominators and divided by the gcd of its entries.  An index from each
-    column to the live rows holding it is kept up to date on fill and on
-    cancellation, so a column's holders are looked up, never searched for.
-    Columns are taken in increasing order; the sparsest holder (the lowest
-    row on ties) is the pivot, the column is cleared from the other holders
-    only, and the pivot row is retired.  The pivot columns are then the
-    leftmost independent columns, whichever rows serve as pivots."""
-    live = []
-    for row in rows:
-        d = lcm(*(x.denominator for x in row.values()))
-        live.append(_primitive({j: x.numerator * (d // x.denominator) for j, x in row.items() if x}))
-    holders: dict[int, set[int]] = {}
+    An index from each column to the live rows holding it is kept up to
+    date on fill and cancellation.  Columns are taken in increasing order,
+    the sparsest holder (lowest row on ties) is the pivot, the others are
+    cleared, and the pivot row is retired; so the pivot columns are the
+    leftmost independent ones, each pivot row starting in its column.
+
+    Returns pivot column -> (input row index, pivot row) in column order,
+    and over the integers lists `up`, `down`: row i was multiplied by up[i]
+    and divided by down[i] in all (None over F_p)."""
+    if p:
+        live = [{j: v for j, x in row.items() if (v := x % p)} for row in rows]
+        up = down = None
+    else:
+        up = [lcm(*(x.denominator for x in row.values())) for row in rows]
+        down = [1] * len(rows)
+        live = [
+            {j: x.numerator * (d // x.denominator) for j, x in row.items() if x}
+            for row, d in zip(rows, up)
+        ]
+        for i, row in enumerate(live):
+            _divide_out(row, down, i)
+    holders: dict[int, set[int]] = defaultdict(set)
     for i, row in enumerate(live):
         for j in row:
-            holders.setdefault(j, set()).add(i)
-    pivots: dict[int, dict[int, int]] = {}
+            holders[j].add(i)
+    pivots: dict[int, tuple[int, dict[int, int]]] = {}
     for c in sorted(holders):
         held = holders[c]
         if not held:
             continue
-        p = min(held, key=lambda i: (len(live[i]), i))
-        piv = pivots[c] = live[p]
+        r = min(held, key=lambda i: (len(live[i]), i))
+        piv = live[r]
+        pivots[c] = (r, piv)
         for j in piv:
-            holders[j].discard(p)
+            holders[j].discard(r)
+        if not held:  # the pivot was the only holder
+            continue
         pc = piv[c]
-        for i in list(held):
+        rest = [(j, x) for j, x in piv.items() if j != c]
+        if p:
+            inv = pow(pc, -1, p)
+        # `rest` skips column c, so `held` holds still until it is cleared
+        for i in held:
             row = live[i]
-            b = row[c]
-            if b % pc:
-                g = gcd(pc, b)
-                b //= g
-                for j in row:
-                    row[j] *= pc // g
+            b = row.pop(c)
+            # one loop per arithmetic, so no entry pays for the test
+            if p:
+                b = b * inv % p
+                for j, x in rest:
+                    v = (row.get(j, 0) - b * x) % p
+                    if v:
+                        if j not in row:
+                            holders[j].add(i)
+                        row[j] = v
+                    else:
+                        del row[j]
+                        holders[j].discard(i)
             else:
-                b //= pc
-            for j, x in piv.items():
-                v = row.get(j, 0) - b * x
-                if v:
-                    if j not in row:
-                        holders[j].add(i)
-                    row[j] = v
+                if b % pc:
+                    g = gcd(pc, b)
+                    b //= g
+                    a = pc // g
+                    for j in row:
+                        row[j] *= a
+                    up[i] *= a
                 else:
-                    del row[j]
-                    holders[j].discard(i)
-            live[i] = _primitive(row)
-    return pivots
+                    b //= pc
+                for j, x in rest:
+                    v = row.get(j, 0) - b * x
+                    if v:
+                        if j not in row:
+                            holders[j].add(i)
+                        row[j] = v
+                    else:
+                        del row[j]
+                        holders[j].discard(i)
+                _divide_out(row, down, i)
+        held.clear()
+    return pivots, up, down
 
 
-def _primitive(row: dict[int, int]) -> dict[int, int]:
+def _divide_out(row: dict[int, int], down: list[int], i: int) -> None:
+    """Divide row i by the gcd of its entries, in place, and record it."""
     g = gcd(*row.values())
-    return {j: x // g for j, x in row.items()} if g > 1 else row
+    if g > 1:
+        for j in row:
+            row[j] //= g
+        down[i] *= g
+
+
+def sparse_echelon(rows: list[dict[int, object]]) -> dict[int, dict[int, int]]:
+    """Row echelon form over the integers by `_eliminate`: pivot column ->
+    pivot row, a primitive integer row whose leftmost entry sits in that
+    column.  Its size is the rank."""
+    return {c: piv for c, (_, piv) in _eliminate(rows)[0].items()}
 
 
 def sparse_kernel(rows: list[dict[int, object]], ncols: int) -> list[tuple[Fraction, ...]]:
@@ -193,37 +222,11 @@ _MODP_PRIME = 2147483629
 
 def rank_mod_p(rows: list[dict[int, int]]) -> int:
     """Rank modulo a fixed prime p of an integer matrix whose rows are
-    given as dicts of their nonzero entries, by sparse elimination over F_p.
-
-    Each row becomes a dict of its nonzero residues.  For each column the
-    sparsest live row holding it is the pivot: the column is cleared from
-    the other holders, and the pivot row is dropped and counted.  Clearing
-    only writes into columns some row already holds, and the rank does not
-    depend on the pivot order.  It is always a lower bound on the rational
-    rank, with equality unless p divides the relevant minors; callers
-    combine it with an upper bound or fall back to exact elimination."""
-    p = _MODP_PRIME
-    live = [r for row in rows if (r := {j: v for j, x in row.items() if (v := x % p)})]
-    rank = 0
-    for c in sorted({j for row in live for j in row}):
-        holders = [row for row in live if c in row]
-        if not holders:
-            continue
-        piv = min(holders, key=len)
-        inv = pow(piv[c], -1, p)
-        for row in holders:
-            if row is piv:
-                continue
-            f = row[c] * inv % p
-            for j, x in piv.items():
-                v = (row.get(j, 0) - f * x) % p
-                if v:
-                    row[j] = v
-                else:
-                    del row[j]
-        live = [row for row in live if row and row is not piv]
-        rank += 1
-    return rank
+    given as dicts of their nonzero entries, by `_eliminate` over F_p.  It
+    is always a lower bound on the rational rank, with equality unless p
+    divides the relevant minors; callers combine it with an upper bound or
+    fall back to exact elimination."""
+    return len(_eliminate(rows, _MODP_PRIME)[0])
 
 
 def exact_rank(rows: list[dict[int, object]]) -> int:
@@ -233,54 +236,47 @@ def exact_rank(rows: list[dict[int, object]]) -> int:
     return len(sparse_echelon(rows))
 
 
-def exact_determinant(int_rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix, by fraction-free Bareiss
-    elimination on a copy of its rows: the swap sign times the last pivot,
-    or 0 at the first column that holds no pivot.
-
-    A row with a zero in the pivot column is left as it is: Bareiss would
-    only multiply it by pivot / previous pivot, and over consecutive steps
-    those factors telescope.  So each row keeps the pivot of the step that
-    last updated it (`stamp`), and stands for itself times current pivot /
-    stamp.  Its next update, (pc * row - ric * pivot row) / stamp, is then
-    the Bareiss row exactly, and a row is brought up to date before it
-    serves as a pivot.  Below the pivot row every entry left of the pivot
-    column is zero, so each update runs over the whole row."""
-    n = len(int_rows)
-    if any(len(row) != n for row in int_rows):
-        raise ShapeMismatch("determinant needs a square matrix")
-    rows = [list(row) for row in int_rows]
-    stamp = [1] * n
-    prev = 1
+def sparse_determinant(rows: list[dict[int, object]]) -> Fraction:
+    """Determinant of a square matrix given as sparse rows (ints or
+    Fractions), by `_eliminate` over the integers: 0 below full rank, else
+    the sign of the pivot-row order times the product of the pivots (the
+    pivot rows in column order are upper triangular), divided by the
+    factors the rows were scaled by."""
+    _check_square(rows, "determinant")
+    pivots, up, down = _eliminate(rows)
+    n = len(rows)
+    if len(pivots) < n:
+        return Fraction(0)
+    order = [r for r, _ in pivots.values()]
     sign = 1
-    for c in range(n):
-        piv = next((i for i in range(c, n) if rows[i][c]), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            stamp[c], stamp[piv] = stamp[piv], stamp[c]
+    for c in range(n):  # sort the rows into column order by swaps
+        while order[c] != c:
+            r = order[c]
+            order[c], order[r] = order[r], r
             sign = -sign
-        if stamp[c] != prev:
-            rows[c] = [a * prev // stamp[c] for a in rows[c]]
-        row_c = rows[c]
-        pc = row_c[c]
-        for i in range(c + 1, n):
-            ric = rows[i][c]
-            if ric:
-                rows[i] = [(pc * a - ric * b) // stamp[i] for a, b in zip(rows[i], row_c)]
-                stamp[i] = pc
-        prev = pc
-    return sign * prev
+    top = sign * prod(piv[c] for c, (_, piv) in pivots.items()) * prod(down)
+    return Fraction(top, prod(up))
+
+
+def exact_determinant(int_rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix given as dense rows, by
+    `sparse_determinant`."""
+    if any(len(row) != len(int_rows) for row in int_rows):
+        raise ShapeMismatch("determinant needs a square matrix")
+    return int(sparse_determinant([{j: x for j, x in enumerate(row) if x} for row in int_rows]))
+
+
+def _check_square(rows: list[dict[int, object]], what: str) -> None:
+    n = len(rows)
+    if any(row and (min(row) < 0 or max(row) >= n) for row in rows):
+        raise ShapeMismatch(f"{what} needs a square matrix")
 
 
 def nonsingular(rows: list[dict[int, int]]) -> bool:
     """det != 0 for a square integer matrix given as dicts of its nonzero
     entries, one per row: full rank, by `rank_at_least`."""
-    n = len(rows)
-    if any(row and (min(row) < 0 or max(row) >= n) for row in rows):
-        raise ShapeMismatch("nonsingularity needs a square matrix")
-    return rank_at_least(rows, n)
+    _check_square(rows, "nonsingularity")
+    return rank_at_least(rows, len(rows))
 
 
 def rank_at_least(rows: list[dict[int, int]], k: int) -> bool:
@@ -319,14 +315,14 @@ def _principal_pfaffians(mat):
     return pf
 
 
-def pfaffian_expansion(mat, zero):
+def pfaffian_expansion(mat):
     """Pfaffian of a skew matrix of even size, by `_principal_pfaffians`
-    (`zero` for the empty matrix).  The independent oracle for numeric
+    (1 for the empty matrix).  The independent oracle for numeric
     Pfaffians and the symbolic identically-zero certificate."""
     n = len(mat)
     if n % 2:
         raise ShapeMismatch("pfaffian needs even size")
-    return _principal_pfaffians(mat)(tuple(range(n))) if n else zero
+    return _principal_pfaffians(mat)(tuple(range(n))) if n else 1
 
 
 def symbolic_rank(mat) -> int:

@@ -199,9 +199,16 @@ def ce_ranks_sympy(g) -> tuple[int, int, int]:
 
 def grow_h2_poset(rng: random.Random, min_n: int, contact: bool) -> Poset:
     """A connected height-two poset of at least min_n elements, glued from
-    random blocks by a replay: with contact=True only contact rules and the
-    blocks P11, P112, P211 on top of P111 (contact by construction),
-    otherwise any block and rule.  Steps the rules reject are skipped."""
+    random blocks by a replay (`grow_h2_replay`)."""
+    return grow_h2_replay(rng, min_n, contact).poset
+
+
+def grow_h2_replay(rng: random.Random, min_n: int, contact: bool):
+    """A replay whose poset is connected of height two with at least min_n
+    elements, glued from random blocks: with contact=True only contact
+    rules and the blocks P11, P112, P211 on top of P111 (contact by
+    construction, with the P(1,1,1) block first), otherwise any block and
+    rule.  Steps the rules reject are skipped."""
     from lieposet.contact import BLOCKS, CONTACT_RULES, RULES, GluingStep, Replay
     from lieposet.contact import rule_applies_to_block
     from lieposet.errors import PolarityMismatch, RulePreconditionViolated
@@ -224,7 +231,7 @@ def grow_h2_poset(rng: random.Random, min_n: int, contact: bool) -> Poset:
             rep = rep.apply(step)
         except (RulePreconditionViolated, PolarityMismatch):
             continue
-    return rep.poset
+    return rep
 
 
 def random_skew_matrix(rng: random.Random, n: int, span: int = 6):

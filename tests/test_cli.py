@@ -258,6 +258,8 @@ class TestIndexCommand:
             {"dim": 3, "brackets": [[1, 2, 5]]},
             {"dim": 3, "brackets": [[1, 2, {"9": 1}]]},
             {"dim": 3, "brackets": [[1, 2, {"3": 0.5}]]},
+            {"dim": 3, "brackets": [[1, 2, {"3": "1.5"}]]},
+            {"dim": 3, "brackets": [[1, 2, {"3": "1e10000000"}]]},
             {"dim": -1, "brackets": []},
         ],
     )

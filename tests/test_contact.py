@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import cycles_equal
+from conftest import cycles_equal, grow_h2_replay
 from lieposet.contact import (
     BLOCKS,
     CONTACT_RULES,
@@ -44,11 +44,12 @@ from lieposet.errors import (
 from lieposet.liealg import (
     Functional,
     build_type_a,
+    index,
     index_formula_h2,
     kirillov_rows,
     random_functional,
 )
-from lieposet.linalg import exact_determinant
+from lieposet.linalg import exact_determinant, sparse_determinant
 from lieposet.posets import (
     _canonical_encoding,
     are_isomorphic,
@@ -537,7 +538,7 @@ class TestReplayInvariants:
     def test_bordered_determinant_is_square_of_rank(self, four_step_states):
         # det of the bordered Kirillov matrix of the recursive contact form
         # is exactly (|P| - 1)^2 on every state; pins the exact scale.  The
-        # integer Bareiss determinant of R is s^size times that of R / s.
+        # integer determinant of R is s^size times that of R / s.
         assert len(four_step_states) == 4621
         for rep in four_step_states:
             alg = build_type_a(rep.poset)
@@ -545,6 +546,19 @@ class TestReplayInvariants:
             size = len(rows)
             det = exact_determinant([[row.get(j, 0) for j in range(size)] for row in rows])
             assert Fraction(det, s**size) == (rep.poset.n - 1) ** 2, rep.steps
+
+    @pytest.mark.parametrize("seed, min_n", [(2, 120), (3, 220), (4, 300)])
+    def test_large_replay_determinant_and_index(self, seed, min_n):
+        # past the enumerated states, on contact replays of dimension 300 to
+        # 800: the same bordered determinant (|P| - 1)^2, taken on the
+        # sparse integer rows R (s^size times that of R / s), and index 1 by
+        # the rank modulo p and by the height-two formula
+        rep = grow_h2_replay(random.Random(seed), min_n, contact=True)
+        alg = build_type_a(rep.poset)
+        assert 300 <= alg.dim <= 800
+        rows, s = kirillov_rows(alg, contact_form_from_replay(rep), bordered=True)
+        assert sparse_determinant(rows) == (rep.poset.n - 1) ** 2 * s ** len(rows)
+        assert index(alg).value == index_formula_h2(rep.poset) == 1
 
     def test_states_pinned_at_four_steps(self, four_step_states):
         # posets and build scripts of every state, as the gluing gave them

@@ -311,7 +311,7 @@ class TestIndex:
     @pytest.mark.parametrize("seed", range(6))
     def test_beyond_symbolic_range(self, seed):
         # same draws as index(): the mod-p value must equal both the
-        # combinatorial formula and the exact Bareiss rank over Q
+        # combinatorial formula and the exact rank over Q
         rng = random.Random(seed)
         P = grow_h2_poset(rng, rng.randint(15, 30), contact=seed % 2 == 0)
         assert P.height == 2 and P.is_connected

@@ -25,6 +25,7 @@ from lieposet.linalg import (
     pfaffian_expansion,
     rank_at_least,
     rank_mod_p,
+    sparse_determinant,
     sparse_echelon,
     sparse_kernel,
     symbolic_rank,
@@ -47,7 +48,7 @@ class TestRankDetPfaffian:
         m = RationalMatrix([[0, 2], [-2, 0]])
         assert m.rank() == 2
         assert m.determinant() == 4
-        assert pfaffian_expansion([[0, 2], [-2, 0]], 0) == 2
+        assert pfaffian_expansion([[0, 2], [-2, 0]]) == 2
 
     def test_zero_three_by_three(self):
         m = RationalMatrix([[0] * 3 for _ in range(3)])
@@ -67,14 +68,14 @@ class TestRankDetPfaffian:
         for size in (2, 4, 6, 8):
             for _ in range(6):
                 rows = random_skew_matrix(rng, size)
-                assert pfaffian_expansion(rows, Fraction(0)) == pfaffian_by_pairings(rows)
+                assert pfaffian_expansion(rows) == pfaffian_by_pairings(rows)
 
     def test_pfaffian_squared_is_determinant(self):
         rng = random.Random(3)
         for size in (2, 4, 6, 8):
             for _ in range(6):
                 rows = random_skew_matrix(rng, size)
-                pf = pfaffian_expansion(rows, Fraction(0))
+                pf = pfaffian_expansion(rows)
                 assert pf ** 2 == RationalMatrix(rows).determinant()
 
     def test_pfaffian_expansion_oracle_matches_elimination(self):
@@ -86,12 +87,12 @@ class TestRankDetPfaffian:
             for _ in range(4):
                 rows = random_skew_matrix(rng, size)
                 det = sympy.Matrix([[int(x) for x in row] for row in rows]).det()
-                assert pfaffian_expansion(rows, Fraction(0)) ** 2 == int(det)
+                assert pfaffian_expansion(rows) ** 2 == int(det)
 
     def test_sparse_integer_rank_and_determinant(self):
-        # sparse rows keep zeros in many pivot columns, so rows wait several
-        # steps before their next update: the deferred Bareiss scaling path
-        # of the determinant, and fill and cancellation in `exact_rank`
+        # sparse rows leave columns without a pivot and make both fill and
+        # cancellation in the elimination behind `exact_rank` and the
+        # determinant
         import sympy
 
         rng = random.Random(12)
@@ -118,6 +119,56 @@ class TestRankDetPfaffian:
         assert exact_determinant([]) == 1
         assert RationalMatrix([]).determinant() == 1
 
+    def test_empty_pfaffian_is_one(self):
+        assert pfaffian_expansion([]) == 1
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.data())
+    def test_exact_determinant_matches_sympy(self, data):
+        # sympy's det() shares no code with linalg.  Signed permutation
+        # matrices, alone or with their rows applied to a random matrix, make
+        # the sign of the pivot-row order the whole answer; dense draws mix
+        # in ints beyond 2^63, sparse ones leave columns without a pivot,
+        # and repeated combinations of rows make the matrix singular.
+        import sympy
+
+        n = data.draw(st.integers(0, 10))
+        perm = data.draw(st.permutations(range(n)))
+        signs = [data.draw(st.sampled_from((-1, 1))) for _ in range(n)]
+        kind = data.draw(st.sampled_from(("permutation", "permuted", "dense", "sparse")))
+        if kind == "permutation":
+            rows = [[signs[i] * (j == perm[i]) for j in range(n)] for i in range(n)]
+        else:
+            entry = st.one_of(st.integers(-9, 9), st.integers(-(2**70), 2**70))
+            if kind == "sparse":
+                entry = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-5, 5))
+            rows = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
+            if kind == "permuted":
+                rows = [[signs[i] * x for x in rows[perm[i]]] for i in range(n)]
+            for i in range(2, n):
+                if data.draw(st.integers(0, 5)) == 0:
+                    a, b = data.draw(st.integers(-2, 2)), data.draw(st.integers(-2, 2))
+                    rows[i] = [a * x + b * y for x, y in zip(rows[i - 1], rows[i - 2])]
+        before = [list(row) for row in rows]
+        det = exact_determinant(rows)
+        assert type(det) is int
+        assert det == int(sympy.Matrix(n, n, [x for row in rows for x in row]).det())
+        assert sparse_determinant(sparse_rows(rows)) == det
+        assert rows == before
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(st.data())
+    def test_rational_determinant_matches_sympy(self, data):
+        # Fraction entries: denominators are cleared by multiplying rows,
+        # which the determinant must divide out again
+        import sympy
+
+        n = data.draw(st.integers(0, 7))
+        entry = st.one_of(st.just(0), st.fractions(min_value=-6, max_value=6, max_denominator=12))
+        rows = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
+        oracle = sympy.Matrix(n, n, [sympy.Rational(str(x)) for row in rows for x in row]).det()
+        assert RationalMatrix(rows).determinant() == Fraction(str(oracle))
+
     def test_fractional_entries(self):
         m = RationalMatrix([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(2, 7)]])
         assert m.determinant() == Fraction(1, 2) * Fraction(2, 7) - Fraction(1, 3) * Fraction(1, 5)
@@ -130,7 +181,7 @@ class TestRankDetPfaffian:
         with pytest.raises(ShapeMismatch):
             exact_determinant([[1], [2]])
         with pytest.raises(ShapeMismatch):
-            pfaffian_expansion([[0] * 3 for _ in range(3)], 0)
+            pfaffian_expansion([[0] * 3 for _ in range(3)])
 
 
 class TestKernel:
